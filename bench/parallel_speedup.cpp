@@ -159,6 +159,10 @@ RunResult runCell(const ModelSpec &M, int Threads, ReduceMode RM,
   CO.Seed = 0x9EDC;
   CO.Par.NumThreads = Threads;
   CO.Reduce = RM;
+  // This bench measures the pooled scalar interpreter (occupancy,
+  // steals, atomic vs. map-reduce regions); the vector plans would run
+  // every loop on one lane and leave those counters empty.
+  CO.Simd = simd::SimdMode::Off;
   CO.Telemetry.Enabled = true;
   Aug.setCompileOpt(CO);
   Recorder &G = Recorder::global();

@@ -2,8 +2,10 @@
 //
 // The PR-8 headline measurement: whole-sweep time with the vector
 // plans (exec/VecKernels.h, CompileOptions::Simd) off vs. on, for
-// GMM / HGMM / LDA on both the interpreter and the emitted-C backend.
-// Two claims are checked:
+// GMM / HGMM / LDA on the interpreter and the emitted-C backend, plus
+// one interpreter row per model on a 4-thread pool (backend
+// "interp-pool4": pooled scalar loops vs. plans that replay the pooled
+// RNG streams and map-reduce fold on one lane). Two claims are checked:
 //
 //   * sweep_speedup — scalar-sweep time over vector-sweep time per
 //     model/backend. Acceptance target is >= 3x on at least two of the
@@ -15,7 +17,9 @@
 //     must end in bit-identical states (the plans replay interpreter
 //     association and RNG consumption exactly; the alias table is
 //     disabled here to keep even large-support categorical sites
-//     bitwise). Asserted, not just reported.
+//     bitwise). Asserted, not just reported, for the pooled rows too:
+//     those force Reduce=MapReduce so every contended float sum is
+//     privatized and the pooled scalar run is itself reproducible.
 //
 // Writes BENCH_sweep.json into the working directory (skipped in
 // --smoke mode, which runs small sizes and asserts the invariants).
@@ -113,11 +117,18 @@ struct RunResult {
   int NumVectorized = 0;
 };
 
-RunResult runChain(const ModelSpec &M, bool Native, bool Simd, int Sweeps) {
+/// Pool width of the pooled rows.
+constexpr int PoolWidth = 4;
+
+RunResult runChain(const ModelSpec &M, bool Native, int Threads, bool Simd,
+                   int Sweeps) {
   Infer Aug(M.Source);
   CompileOptions CO;
   CO.Seed = 0x5EE6;
   CO.NativeCpu = Native;
+  CO.Par.NumThreads = Threads;
+  if (Threads != 1)
+    CO.Reduce = ReduceMode::MapReduce;
   CO.Simd = Simd ? simd::SimdMode::On : simd::SimdMode::Off;
   Aug.setCompileOpt(CO);
   Status St = Aug.compile(M.Args, M.Data);
@@ -167,10 +178,12 @@ struct Row {
   bool Identical = false;
 };
 
-Row benchModel(const ModelSpec &M, bool Native) {
+Row benchModel(const ModelSpec &M, bool Native, int Threads) {
   Row R;
   R.Name = M.Name;
   R.Backend = Native ? "native" : "interp";
+  if (Threads != 1)
+    R.Backend += strFormat("-pool%d", Threads);
   R.Sweeps = Smoke ? 15 : 100;
   // Best of N repetitions per mode; the ratio is what is reported, so
   // both numerator and denominator get the same treatment.
@@ -178,8 +191,8 @@ Row benchModel(const ModelSpec &M, bool Native) {
   RunResult Scalar, Vector;
   double ScalarBest = 1e300, VectorBest = 1e300;
   for (int I = 0; I < Reps; ++I) {
-    RunResult A = runChain(M, Native, /*Simd=*/false, R.Sweeps);
-    RunResult B = runChain(M, Native, /*Simd=*/true, R.Sweeps);
+    RunResult A = runChain(M, Native, Threads, /*Simd=*/false, R.Sweeps);
+    RunResult B = runChain(M, Native, Threads, /*Simd=*/true, R.Sweeps);
     if (A.Secs < ScalarBest) {
       ScalarBest = A.Secs;
       Scalar = std::move(A);
@@ -197,7 +210,7 @@ Row benchModel(const ModelSpec &M, bool Native) {
   R.VecP99Ms = Vector.SweepMs.p99();
   R.NumVectorized = Vector.NumVectorized;
   R.Identical = statesIdentical(Scalar.FinalState, Vector.FinalState);
-  std::printf("%-6s %-6s scalar %9.1f us/sweep, vector %9.1f us/sweep -> "
+  std::printf("%-6s %-12s scalar %9.1f us/sweep, vector %9.1f us/sweep -> "
               "%5.2fx (%d plans)  %s\n",
               R.Name.c_str(), R.Backend.c_str(), R.ScalarUs, R.VectorUs,
               R.Speedup, R.NumVectorized,
@@ -233,9 +246,11 @@ int main(int Argc, char **Argv) {
   Specs.push_back(ldaSpec());
 
   std::vector<Row> Rows;
-  for (const ModelSpec &M : Specs)
+  for (const ModelSpec &M : Specs) {
     for (bool Native : {false, true})
-      Rows.push_back(benchModel(M, Native));
+      Rows.push_back(benchModel(M, Native, 1));
+    Rows.push_back(benchModel(M, /*Native=*/false, PoolWidth));
+  }
 
   // The smoke gate: GMM on the interpreter backend must clear a
   // conservative floor so `ctest -L perf`/`-L simd` catches a plan

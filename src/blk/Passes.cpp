@@ -344,19 +344,6 @@ bool collectAccumTargets(const std::vector<LStmtPtr> &Body,
   return true;
 }
 
-bool sameLValue(const LValue &A, const LValue &B) {
-  if (A.Var != B.Var || A.Idxs.size() != B.Idxs.size())
-    return false;
-  for (size_t I = 0; I < A.Idxs.size(); ++I)
-    if (!Expr::structEq(A.Idxs[I], B.Idxs[I]))
-      return false;
-  return true;
-}
-
-} // namespace
-
-namespace {
-
 /// Extents of the loops inside \p Body, by loop variable (bounds
 /// depending on enclosing loop variables are skipped).
 void collectInnerExtents(const std::vector<LStmtPtr> &Body, const Env &E,

@@ -19,6 +19,14 @@ const char *RuntimePrelude = R"c(
 #include <math.h>
 typedef long long i64;
 static const double AUGUR_LOG2PI = 1.8378770664093453;
+/* lgamma stores the sign of Gamma(x) in the global signgam, a data race
+   between pool lanes; lgamma_r returns the same value and hands the sign
+   back instead. Declared here so no feature-test macro is needed. */
+double lgamma_r(double, int *);
+static inline double augur_lgamma(double x) {
+  int sign;
+  return lgamma_r(x, &sign);
+}
 static inline double augur_sigmoid(double x) {
   return x >= 0 ? 1.0 / (1.0 + exp(-x)) : exp(x) / (1.0 + exp(x));
 }
@@ -59,7 +67,7 @@ static inline double augur_exponential_grad1(double x, double r) {
 }
 static inline double augur_gamma_ll(double x, double a, double r) {
   return (x > 0 && a > 0 && r > 0)
-             ? a * log(r) - lgamma(a) + (a - 1.0) * log(x) - r * x
+             ? a * log(r) - augur_lgamma(a) + (a - 1.0) * log(x) - r * x
              : -1.0 / 0.0;
 }
 static inline double augur_gamma_grad0(double x, double a, double r) {
@@ -67,7 +75,7 @@ static inline double augur_gamma_grad0(double x, double a, double r) {
 }
 static inline double augur_invgamma_ll(double x, double a, double s) {
   return (x > 0 && a > 0 && s > 0)
-             ? a * log(s) - lgamma(a) - (a + 1.0) * log(x) - s / x
+             ? a * log(s) - augur_lgamma(a) - (a + 1.0) * log(x) - s / x
              : -1.0 / 0.0;
 }
 static inline double augur_invgamma_grad0(double x, double a, double s) {
@@ -76,7 +84,7 @@ static inline double augur_invgamma_grad0(double x, double a, double s) {
 static inline double augur_beta_ll(double x, double a, double b) {
   return (x > 0 && x < 1 && a > 0 && b > 0)
              ? (a - 1.0) * log(x) + (b - 1.0) * log(1.0 - x) +
-                   lgamma(a + b) - lgamma(a) - lgamma(b)
+                   augur_lgamma(a + b) - augur_lgamma(a) - augur_lgamma(b)
              : -1.0 / 0.0;
 }
 static inline double augur_beta_grad0(double x, double a, double b) {
@@ -86,7 +94,7 @@ static inline double augur_uniform_ll(double x, double lo, double hi) {
   return (hi > lo && x >= lo && x <= hi) ? -log(hi - lo) : -1.0 / 0.0;
 }
 static inline double augur_poisson_ll(i64 x, double r) {
-  return (r > 0 && x >= 0) ? x * log(r) - r - lgamma((double)x + 1.0)
+  return (r > 0 && x >= 0) ? x * log(r) - r - augur_lgamma((double)x + 1.0)
                            : -1.0 / 0.0;
 }
 static inline double augur_poisson_grad1(i64 x, double r) {
@@ -102,9 +110,9 @@ static inline double augur_dirichlet_ll(const double *a, i64 n,
     if (a[i] <= 0 || x[i] <= 0 || x[i] >= 1) return -1.0 / 0.0;
     s += (a[i] - 1.0) * log(x[i]);
     sa += a[i];
-    lb += lgamma(a[i]);
+    lb += augur_lgamma(a[i]);
   }
-  return s + lgamma(sa) - lb;
+  return s + augur_lgamma(sa) - lb;
 }
 )c";
 

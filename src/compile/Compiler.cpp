@@ -382,9 +382,7 @@ Compiler::compile(const std::string &ModelSrc, const CompileOptions &Opts,
   if (const char *FS = std::getenv("AUGUR_FAULT_SPEC"))
     FaultsArmed = FaultsArmed || FS[0] != '\0';
   Prog->Eng->setSimd(simd::resolveEnabled(
-      Opts.Simd, Opts.Tgt == CompileOptions::Target::Cpu,
-      Opts.Par.NumThreads == 1 ? 1 : Opts.Par.resolvedThreads(),
-      FaultsArmed));
+      Opts.Simd, Opts.Tgt == CompileOptions::Target::Cpu, FaultsArmed));
   std::string ChainPrefix = strFormat("chain%d/", Opts.ChainIndex);
   Prog->Eng->setTelemetry(&Rec, ChainPrefix + "exec/");
   Prog->SweepLJKey = ChainPrefix + "sweep/log_joint";

@@ -96,8 +96,9 @@ struct CompileOptions {
   std::string FaultSpec;
   /// Vectorized sampler hot path (DESIGN.md section 15): compiled proc
   /// plans on the interpreter/native engines plus host-vectorized
-  /// emitted C. Auto (the default) arms sequential CPU programs unless
-  /// a fault-injection spec is active; AUGUR_SIMD=0/1 overrides Auto.
+  /// emitted C. Auto (the default) arms every CPU program, sequential
+  /// or pooled, unless a fault-injection spec is active; AUGUR_SIMD=0/1
+  /// overrides Auto.
   /// With the alias table disabled the vector path replays the scalar
   /// sample stream bit-identically (see exec/VecKernels.h).
   simd::SimdMode Simd = simd::SimdMode::Auto;

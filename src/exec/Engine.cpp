@@ -35,6 +35,13 @@ void InterpEngine::runProc(const std::string &Name) {
         R->count(K.VecRuns, 1);
         R->count(K.VecFallback, 0);
         R->count(K.VecAlias, Plan->takeAliasDraws());
+        // Like the interpreter, only procs with map-reduce regions
+        // create the reduce_* keys.
+        vec::VecPlan::ReduceProfile RP = Plan->takeReduceProfile();
+        if (RP.Regions) {
+          R->count(K.ReduceRegions, RP.Regions);
+          R->count(K.ReduceBytes, RP.Bytes);
+        }
       }
       return;
     }
@@ -53,6 +60,9 @@ void InterpEngine::addProc(LowppProc P) {
 }
 
 CpuReduceReport InterpEngine::planReductions(const CpuReduceOptions &O) {
+  // The pass rewrites loop annotations (and may commute nests): plans
+  // compiled from the old procedure bodies are stale.
+  Plans.clear();
   CpuReduceReport R;
   for (auto &[Name, P] : Procs)
     R.merge(planCpuReductions(P, Globals, O));

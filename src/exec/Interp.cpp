@@ -156,6 +156,25 @@ Interp::ReduceTargetBuf::~ReduceTargetBuf() {
     ::operator delete[](Partials, std::align_val_t(64));
 }
 
+ReducePayload augur::reducePayload(Value &V) {
+  if (V.isRealScalar())
+    return {reinterpret_cast<char *>(&V.realRef()), 1, false};
+  if (V.isIntScalar())
+    return {reinterpret_cast<char *>(&V.intRef()), 1, true};
+  if (V.isRealVec())
+    return {reinterpret_cast<char *>(V.realVec().flat().data()),
+            V.realVec().flatSize(), false};
+  if (V.isIntVec())
+    return {reinterpret_cast<char *>(V.intVec().flat().data()),
+            V.intVec().flatSize(), true};
+  if (V.isMatrix())
+    return {reinterpret_cast<char *>(V.mat().data()),
+            V.mat().rows() * V.mat().cols(), false};
+  MatVec &MV = V.matVec();
+  return {reinterpret_cast<char *>(MV.at(0)),
+          MV.size() * MV.rows() * MV.cols(), false};
+}
+
 bool Interp::bodySamples(const LStmt &S) const {
   auto It = SamplingCache.find(&S);
   if (It != SamplingCache.end())
@@ -278,33 +297,10 @@ void Interp::execMapReduceLoop(const LStmt &S, int64_t Lo, int64_t Hi) {
   // padded row per block.
   uint64_t RegionBytes = 0;
   for (auto &T : Bufs) {
-    Value &V = resolveVar(T.Name);
-    if (V.isRealScalar()) {
-      T.Base = reinterpret_cast<char *>(&V.realRef());
-      T.Len = 1;
-      T.IsInt = false;
-    } else if (V.isIntScalar()) {
-      T.Base = reinterpret_cast<char *>(&V.intRef());
-      T.Len = 1;
-      T.IsInt = true;
-    } else if (V.isRealVec()) {
-      T.Base = reinterpret_cast<char *>(V.realVec().flat().data());
-      T.Len = V.realVec().flatSize();
-      T.IsInt = false;
-    } else if (V.isIntVec()) {
-      T.Base = reinterpret_cast<char *>(V.intVec().flat().data());
-      T.Len = V.intVec().flatSize();
-      T.IsInt = true;
-    } else if (V.isMatrix()) {
-      T.Base = reinterpret_cast<char *>(V.mat().data());
-      T.Len = V.mat().rows() * V.mat().cols();
-      T.IsInt = false;
-    } else {
-      MatVec &MV = V.matVec();
-      T.Base = reinterpret_cast<char *>(MV.at(0));
-      T.Len = MV.size() * MV.rows() * MV.cols();
-      T.IsInt = false;
-    }
+    ReducePayload P = reducePayload(resolveVar(T.Name));
+    T.Base = P.Base;
+    T.Len = P.Len;
+    T.IsInt = P.IsInt;
     T.StrideBytes = ((T.Len * 8 + 63) / 64) * 64;
     int64_t Need = T.StrideBytes * NB;
     if (T.Cap < Need) {
@@ -380,35 +376,13 @@ void Interp::execMapReduceLoop(const LStmt &S, int64_t Lo, int64_t Hi) {
   // The fold order is a function of NB alone — never of which lane ran
   // which block — so the floating-point sum is reproducible.
   for (auto &T : Bufs) {
-    if (T.IsInt) {
-      for (int64_t Stride = 1; Stride < NB; Stride *= 2)
-        for (int64_t I = 0; I + Stride < NB; I += 2 * Stride) {
-          int64_t *A = reinterpret_cast<int64_t *>(T.Partials +
-                                                   I * T.StrideBytes);
-          const int64_t *Bp = reinterpret_cast<const int64_t *>(
-              T.Partials + (I + Stride) * T.StrideBytes);
-          for (int64_t J = 0; J < T.Len; ++J)
-            A[J] += Bp[J];
-        }
-      int64_t *Dst = reinterpret_cast<int64_t *>(T.Base);
-      const int64_t *Row0 = reinterpret_cast<const int64_t *>(T.Partials);
-      for (int64_t J = 0; J < T.Len; ++J)
-        Dst[J] += Row0[J];
-    } else {
-      for (int64_t Stride = 1; Stride < NB; Stride *= 2)
-        for (int64_t I = 0; I + Stride < NB; I += 2 * Stride) {
-          double *A =
-              reinterpret_cast<double *>(T.Partials + I * T.StrideBytes);
-          const double *Bp = reinterpret_cast<const double *>(
-              T.Partials + (I + Stride) * T.StrideBytes);
-          for (int64_t J = 0; J < T.Len; ++J)
-            A[J] += Bp[J];
-        }
-      double *Dst = reinterpret_cast<double *>(T.Base);
-      const double *Row0 = reinterpret_cast<const double *>(T.Partials);
-      for (int64_t J = 0; J < T.Len; ++J)
-        Dst[J] += Row0[J];
-    }
+    int64_t Stride = T.StrideBytes / 8;
+    if (T.IsInt)
+      foldPartials(reinterpret_cast<int64_t *>(T.Partials), NB, Stride,
+                   T.Len, reinterpret_cast<int64_t *>(T.Base));
+    else
+      foldPartials(reinterpret_cast<double *>(T.Partials), NB, Stride,
+                   T.Len, reinterpret_cast<double *>(T.Base));
   }
 
   if (Telem && Telem->enabled()) {

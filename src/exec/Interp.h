@@ -92,6 +92,32 @@ struct ExecTelemetryKeys {
   }
 };
 
+/// A map-reduce target's payload as flat scalars: the address range
+/// whose accumulations a map-reduce block redirects into its partial
+/// row (Interp::execMapReduceLoop, and the vector plans' replay of it).
+struct ReducePayload {
+  char *Base = nullptr;
+  int64_t Len = 0; ///< flat scalar count
+  bool IsInt = false;
+};
+ReducePayload reducePayload(Value &V);
+
+/// The pinned map-reduce fold (DESIGN.md section 16): a pairwise tree
+/// over \p NB partial rows spaced \p Stride elements apart, in an order
+/// fixed by NB alone, then one deposit of row 0 into \p Dst.
+template <class T>
+void foldPartials(T *Rows, int64_t NB, int64_t Stride, int64_t Len, T *Dst) {
+  for (int64_t Step = 1; Step < NB; Step *= 2)
+    for (int64_t I = 0; I + Step < NB; I += 2 * Step) {
+      T *A = Rows + I * Stride;
+      const T *B = Rows + (I + Step) * Stride;
+      for (int64_t J = 0; J < Len; ++J)
+        A[J] += B[J];
+    }
+  for (int64_t J = 0; J < Len; ++J)
+    Dst[J] += Rows[J];
+}
+
 /// Executes Low++ procedures against a global environment. Globals are
 /// the model hyper-parameters, data, parameters, and designated output
 /// buffers (e.g. "ll", "adj_<var>"); locals are procedure-scoped.

@@ -63,6 +63,27 @@ struct CLValue {
 struct CStmt;
 using CStmtP = std::unique_ptr<CStmt>;
 
+/// One privatized target of a map-reduce loop, with the partial rows
+/// of its current region (the payload is refreshed per region: it can
+/// be reallocated between sweeps).
+struct ReduceTarget {
+  int Var = -1;
+  ReducePayload P;
+  std::vector<double> RealRows; ///< NB x Len partials (real targets)
+  std::vector<int64_t> IntRows; ///< NB x Len partials (int targets)
+};
+
+/// A pooled loop the reduce pass marked MapReduce (lowpp ReduceKind),
+/// replayed exactly as Interp::execMapReduceLoop: the range is cut into
+/// ReduceShards-derived blocks, accumulations into a target inside a
+/// block land in that block's zeroed partial row, and the rows fold
+/// pairwise in pinned order into one deposit. The plan runs the blocks
+/// in order on the calling lane; the fold, not the schedule, fixes the
+/// floating-point sum.
+struct MapReduceLoop {
+  std::vector<ReduceTarget> Tgts;
+};
+
 struct FillTarget {
   int Var = -1;
   bool IntZero = false; ///< rhs was an integer literal
@@ -183,6 +204,7 @@ struct CStmt {
   CExprP Lo, Hi;
   std::vector<CStmtP> Body;
   bool Samples = false;
+  std::unique_ptr<MapReduceLoop> MapReduce; ///< null: plain loop
 
   // Distribution statements.
   Dist D = Dist::Normal;
@@ -248,6 +270,14 @@ struct PlanImpl {
   bool Pooled = false;
   bool InStream = false;
   int AtmDepth = 0;
+  /// Active map-reduce block: accumulations whose destination lies in
+  /// [Base, End) land at the same offset in Row (Interp's redirect).
+  struct Redirect {
+    uintptr_t Base = 0, End = 0;
+    char *Row = nullptr;
+  };
+  std::vector<Redirect> Redirects;
+  uint64_t ReduceRegions = 0, ReduceBytes = 0; ///< since last take
   ExecCounters *C = nullptr;
   std::vector<DV> ParamScratch, PriorScratch, ExtraScratch, StatsScratch;
   std::vector<int64_t> IdxScratch;
@@ -522,6 +552,24 @@ MutDV resolveDestC(PlanImpl &T, const CLValue &L) {
   return mutView(val(T, L.Var), Idxs, N, L.Name);
 }
 
+/// Where an accumulation into \p Slot lands: the active map-reduce
+/// block's partial row when the slot lies in a privatized target, else
+/// the slot itself (mirror of Interp::accumReal / accumInt).
+template <class E> E *accumSlot(const PlanImpl &T, E *Slot) {
+  uintptr_t A = reinterpret_cast<uintptr_t>(Slot);
+  for (const auto &R : T.Redirects)
+    if (A >= R.Base && A < R.End)
+      return reinterpret_cast<E *>(R.Row + (A - R.Base));
+  return Slot;
+}
+
+/// Mirror of Interp::noteAtomic: an increment under AtmPar counts as an
+/// atomic unless privatization redirected it.
+void noteAtomicC(PlanImpl &T, const void *Addr) {
+  if (accumSlot(T, Addr) == Addr)
+    ++T.C->Atomics;
+}
+
 //===----------------------------------------------------------------------===//
 // Runtime: statement execution (mirror of Interp::execStmt)
 //===----------------------------------------------------------------------===//
@@ -670,6 +718,64 @@ void execConjSampleC(PlanImpl &T, const CStmt &S) {
 void execFillC(PlanImpl &T, const CStmt &S);
 void execEnumC(PlanImpl &T, const CStmt &S);
 
+/// Mirror of Interp::execMapReduceLoop for a non-empty range: same
+/// block geometry, same zeroed rows, same pinned pairwise fold.
+void execMapReduceC(PlanImpl &T, const CStmt &S, int64_t Lo, int64_t Hi) {
+  MapReduceLoop &M = *S.MapReduce;
+  int64_t N = Hi - Lo;
+  int64_t Block = (N + ReduceShards - 1) / ReduceShards;
+  int64_t NB = (N + Block - 1) / Block;
+  for (ReduceTarget &G : M.Tgts) {
+    G.P = reducePayload(val(T, G.Var));
+    size_t Cells = size_t(NB * G.P.Len);
+    if (G.P.IsInt && G.IntRows.size() < Cells)
+      G.IntRows.resize(Cells);
+    if (!G.P.IsInt && G.RealRows.size() < Cells)
+      G.RealRows.resize(Cells);
+    // The interpreter's partial bytes: one 64B-padded row per block.
+    T.ReduceBytes += uint64_t(((G.P.Len * 8 + 63) / 64) * 64 * NB);
+  }
+  ++T.ReduceRegions;
+
+  T.InStream = true;
+  for (int64_t B = 0; B < NB; ++B) {
+    T.Redirects.clear();
+    for (ReduceTarget &G : M.Tgts) {
+      int64_t Len = G.P.Len;
+      char *Row;
+      if (G.P.IsInt) {
+        int64_t *R = G.IntRows.data() + B * Len;
+        std::fill(R, R + Len, int64_t(0));
+        Row = reinterpret_cast<char *>(R);
+      } else {
+        double *R = G.RealRows.data() + B * Len;
+        simd::fillZero(R, Len);
+        Row = reinterpret_cast<char *>(R);
+      }
+      uintptr_t Base = reinterpret_cast<uintptr_t>(G.P.Base);
+      T.Redirects.push_back({Base, Base + uintptr_t(Len) * 8, Row});
+    }
+    int64_t BHi = std::min(Hi, Lo + (B + 1) * Block);
+    for (int64_t I = Lo + B * Block; I < BHi; ++I) {
+      T.Slots[size_t(S.Slot)] = I;
+      ++T.C->LoopIters;
+      execBodyC(T, S.Body);
+    }
+  }
+  T.Redirects.clear();
+  T.InStream = false;
+
+  for (ReduceTarget &G : M.Tgts) {
+    const ReducePayload &P = G.P;
+    if (P.IsInt)
+      foldPartials(G.IntRows.data(), NB, P.Len, P.Len,
+                   reinterpret_cast<int64_t *>(P.Base));
+    else
+      foldPartials(G.RealRows.data(), NB, P.Len, P.Len,
+                   reinterpret_cast<double *>(P.Base));
+  }
+}
+
 void execLoopC(PlanImpl &T, const CStmt &S) {
   int64_t Lo = evalCInt(T, *S.Lo);
   int64_t Hi = evalCInt(T, *S.Hi);
@@ -682,7 +788,9 @@ void execLoopC(PlanImpl &T, const CStmt &S) {
       --T.AtmDepth;
     return;
   }
-  if (Streamed) {
+  if (Streamed && S.MapReduce) {
+    execMapReduceC(T, S, Lo, Hi);
+  } else if (Streamed) {
     uint64_t Seed = S.Samples ? T.Master->next() : 0;
     T.InStream = true;
     RNG *SavedR = T.R;
@@ -715,12 +823,14 @@ void execC(PlanImpl &T, const CStmt &S) {
     MutDV Dest = resolveDestC(T, S.Dest);
     DV Rhs = evalC(T, *S.Rhs);
     if (S.Accum && T.AtmDepth > 0)
-      ++T.C->Atomics;
+      noteAtomicC(T, Dest.K == DV::Kind::Int
+                         ? static_cast<const void *>(Dest.IntSlot)
+                         : static_cast<const void *>(Dest.RealSlot));
     if (Dest.K == DV::Kind::Int) {
       execCheck(Rhs.K == DV::Kind::Int, "Assign", S.Dest.Name,
                 "Int slot needs an Int value");
       if (S.Accum)
-        *Dest.IntSlot += Rhs.I;
+        *accumSlot(T, Dest.IntSlot) += Rhs.I;
       else
         *Dest.IntSlot = Rhs.I;
       return;
@@ -728,7 +838,7 @@ void execC(PlanImpl &T, const CStmt &S) {
     execCheck(Dest.K == DV::Kind::Real, "Assign", S.Dest.Name,
               "assignments are scalar");
     if (S.Accum)
-      *Dest.RealSlot += Rhs.asReal();
+      *accumSlot(T, Dest.RealSlot) += Rhs.asReal();
     else
       *Dest.RealSlot = Rhs.asReal();
     return;
@@ -757,8 +867,8 @@ void execC(PlanImpl &T, const CStmt &S) {
     execCheck(Dest.K == DV::Kind::Real, "AccumLL", S.Dest.Name,
               "log-likelihood accumulator must be a real scalar slot");
     if (T.AtmDepth > 0)
-      ++T.C->Atomics;
-    *Dest.RealSlot += distLogPdf(S.D, Params, At);
+      noteAtomicC(T, Dest.RealSlot);
+    *accumSlot(T, Dest.RealSlot) += distLogPdf(S.D, Params, At);
     return;
   }
   case CStmt::K::Sample: {
@@ -786,15 +896,17 @@ void execC(PlanImpl &T, const CStmt &S) {
     execCheck(Src.K == DV::Kind::Vec && Src.N == Dest.N, "AccumVec",
               S.Dest.Name, "source/destination shape mismatch");
     if (T.AtmDepth > 0)
-      ++T.C->Atomics;
+      noteAtomicC(T, Dest.Ptr);
     // Per-lane adds in element order: bit-identical to the scalar loop.
-    simd::vAdd(Dest.Ptr, Dest.Ptr, Src.Ptr, Dest.N);
+    // A view never straddles payloads, so one redirect covers the row.
+    double *Out = accumSlot(T, Dest.Ptr);
+    simd::vAdd(Out, Out, Src.Ptr, Dest.N);
     return;
   }
   case CStmt::K::AccumOuter: {
     MutDV Dest = resolveDestC(T, S.Dest);
     if (T.AtmDepth > 0)
-      ++T.C->Atomics;
+      noteAtomicC(T, Dest.Ptr);
     execCheck(Dest.K == DV::Kind::Mat, "AccumOuter", S.Dest.Name,
               "outer-product accumulator must be a matrix");
     DV Y = evalC(T, *S.OuterY);
@@ -802,9 +914,10 @@ void execC(PlanImpl &T, const CStmt &S) {
     execCheck(Y.K == DV::Kind::Vec && M.K == DV::Kind::Vec &&
                   Y.N == Dest.Rows && M.N == Dest.Rows,
               "AccumOuter", S.Dest.Name, "operand shape mismatch");
+    double *Out = accumSlot(T, Dest.Ptr);
     for (int64_t I = 0; I < Dest.Rows; ++I)
       for (int64_t J = 0; J < Dest.Cols; ++J)
-        Dest.Ptr[I * Dest.Cols + J] +=
+        Out[I * Dest.Cols + J] +=
             (Y.Ptr[I] - M.Ptr[I]) * (Y.Ptr[J] - M.Ptr[J]);
     return;
   }
@@ -1345,6 +1458,7 @@ bool stmtSamplesL(const LStmt &S) {
 }
 
 struct PlanComp {
+  explicit PlanComp(PlanImpl &T) : T(T) {}
   PlanImpl &T;
   std::map<std::string, int> VarIds;
   /// Active loop variables, innermost last (evalExpr checks LoopVars
@@ -1852,7 +1966,10 @@ CStmtP tryEnum(PlanComp &C, const LStmt &S0) {
 }
 
 CStmtP csLoop(PlanComp &C, const LStmt &S) {
-  if (C.Scopes.empty() && S.LK == LoopKind::Par) {
+  // The fused peepholes would bypass the partial rows, so a map-reduce
+  // loop always compiles generically.
+  bool MapReduce = S.Red == ReduceKind::MapReduce;
+  if (C.Scopes.empty() && S.LK == LoopKind::Par && !MapReduce) {
     CStmtP E = tryEnum(C, S);
     if (E || !C.OK)
       return E;
@@ -1868,12 +1985,23 @@ CStmtP csLoop(PlanComp &C, const LStmt &S) {
       R->Samples = true;
       break;
     }
+  // Interp::execMapReduceLoop runs a sampling or target-less annotated
+  // loop as a plain pooled loop, and resolves the targets in the
+  // enclosing scope at region start.
+  if (MapReduce && !R->Samples && !S.RedTargets.empty()) {
+    R->MapReduce = std::make_unique<MapReduceLoop>();
+    for (const std::string &Name : S.RedTargets) {
+      ReduceTarget G;
+      G.Var = refId(C, Name);
+      R->MapReduce->Tgts.push_back(std::move(G));
+    }
+  }
   C.Scopes.emplace_back(S.LoopVar, R->Slot);
   pushFrame(C);
   csBody(C, S.Body, R->Body);
   popFrame(C);
   C.Scopes.pop_back();
-  if (C.OK)
+  if (C.OK && !MapReduce)
     maybeFill(C, *R);
   return R;
 }
@@ -2030,4 +2158,11 @@ uint64_t VecPlan::takeAliasDraws() {
   uint64_t N = Impl->AliasDraws;
   Impl->AliasDraws = 0;
   return N;
+}
+
+VecPlan::ReduceProfile VecPlan::takeReduceProfile() {
+  ReduceProfile P{Impl->ReduceRegions, Impl->ReduceBytes};
+  Impl->ReduceRegions = 0;
+  Impl->ReduceBytes = 0;
+  return P;
 }

@@ -34,6 +34,16 @@
 /// one uniform per draw either way); plans report usage through
 /// bitIdentical() so comparisons degrade to statistical checks.
 ///
+/// Pooled programs get the same contract. A plan runs every loop on
+/// the calling lane, but it follows the pooled interpreter's protocol:
+/// per-iteration Philox streams for sampling Par/AtmPar loops, and for
+/// loops the reduce pass marked MapReduce (lowpp ReduceKind) the same
+/// per-block partial rows and pinned pairwise fold as
+/// Interp::execMapReduceLoop. Pooled interpretation is bit-identical
+/// to its plan wherever the pooled run is itself reproducible; leftover
+/// AtmPar float sums commit in nondeterministic order, the plan's in
+/// iteration order.
+///
 /// Compilation is all-or-nothing per proc: any construct the plan
 /// cannot replicate exactly (AccumGrad — the HMC path — or a malformed
 /// shape) fails tryCompile and the engine keeps interpreting that proc.
@@ -80,6 +90,14 @@ public:
 
   /// Returns and resets the alias-table draw count (telemetry).
   uint64_t takeAliasDraws();
+
+  /// Map-reduce regions replayed and the partial-row bytes the pooled
+  /// interpreter would have allocated for them (its reduce_* profile).
+  struct ReduceProfile {
+    uint64_t Regions = 0, Bytes = 0;
+  };
+  /// Returns and resets the map-reduce profile (telemetry).
+  ReduceProfile takeReduceProfile();
 
 private:
   VecPlan();

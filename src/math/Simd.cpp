@@ -111,7 +111,7 @@ void augur::simd::setCpuAvx2Override(int Forced) {
 const char *augur::simd::activeIsa() { return table().Isa; }
 
 bool augur::simd::resolveEnabled(SimdMode Mode, bool CpuTarget,
-                                 int NumThreads, bool FaultsArmed) {
+                                 bool FaultsArmed) {
   if (!CpuTarget)
     return false;
   switch (Mode) {
@@ -124,7 +124,7 @@ bool augur::simd::resolveEnabled(SimdMode Mode, bool CpuTarget,
   }
   if (const char *S = std::getenv("AUGUR_SIMD"))
     return S[0] != '0';
-  return NumThreads == 1 && !FaultsArmed;
+  return !FaultsArmed;
 }
 
 int augur::simd::aliasOverride() {

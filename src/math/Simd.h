@@ -33,11 +33,11 @@ namespace augur {
 namespace simd {
 
 /// Vectorization policy for a compiled program (CompileOptions::Simd).
-/// `Auto` enables the vector path for sequential CPU programs with no
-/// fault-injection spec armed; AUGUR_SIMD=0/1 overrides Auto from the
-/// environment. `On`/`Off` are programmatic forces (the differential
-/// harness pins each side explicitly and must not be perturbed by the
-/// ambient environment).
+/// `Auto` enables the vector path for every CPU program with no
+/// fault-injection spec armed, sequential or pooled; AUGUR_SIMD=0/1
+/// overrides Auto from the environment. `On`/`Off` are programmatic
+/// forces (the differential harness pins each side explicitly and must
+/// not be perturbed by the ambient environment).
 enum class SimdMode { Auto, Off, On };
 
 /// True if the host CPU supports AVX2 (honoring any test override).
@@ -54,15 +54,13 @@ const char *activeIsa();
 
 /// Resolves the effective on/off decision for one compiled program.
 /// \p CpuTarget: compiling for the CPU backend (GPU-sim never
-/// vectorizes). \p NumThreads: resolved pool width (Auto only arms
-/// sequential programs; pooled scalar execution commits draws in
-/// nondeterministic atomic order, so the deterministic serial plan
-/// replay would not be bit-identical — forcing On is allowed and
-/// Geweke-validated). \p FaultsArmed: a fault-injection spec is active
-/// (the injector's probes live on the scalar interpreter paths, so
-/// Auto must not route around them).
-bool resolveEnabled(SimdMode Mode, bool CpuTarget, int NumThreads,
-                    bool FaultsArmed);
+/// vectorizes). \p FaultsArmed: a fault-injection spec is active (the
+/// injector's probes live on the scalar interpreter paths, so Auto must
+/// not route around them). The pool width plays no part: plans follow
+/// the pooled RNG stream protocol and replay the map-reduce fold, so a
+/// pooled plan is bit-identical to pooled interpretation wherever the
+/// latter is itself reproducible (leftover atomic float sums are not).
+bool resolveEnabled(SimdMode Mode, bool CpuTarget, bool FaultsArmed);
 
 /// Alias-table override from AUGUR_ALIAS: 0 forces the cumulative-walk
 /// sampler, 1 forces the alias table, -1 (unset) defers to the

@@ -5,6 +5,7 @@
 #include <array>
 #include <cassert>
 #include <cmath>
+#include <math.h> // lgamma_r
 
 using namespace augur;
 
@@ -16,6 +17,14 @@ namespace {
 /// shapes). Cache those lazily; the stored values come from the exact
 /// same slow-path code, so the fast path is bitwise transparent.
 constexpr int HalfTableSize = 512; // covers X in (0, 256] at k/2 grid
+
+/// std::lgamma stores the sign of Gamma(X) in the global `signgam`, a
+/// data race when pooled loops evaluate densities concurrently.
+/// lgamma_r returns the same value and hands the sign back instead.
+double lgammaReentrant(double X) {
+  int Sign;
+  return ::lgamma_r(X, &Sign);
+}
 
 double digammaSlow(double X) {
   double Result = 0.0;
@@ -43,7 +52,7 @@ const std::array<double, HalfTableSize> &lgammaHalfTable() {
   static const std::array<double, HalfTableSize> Table = [] {
     std::array<double, HalfTableSize> T{};
     for (int K = 1; K <= HalfTableSize; ++K)
-      T[size_t(K - 1)] = std::lgamma(0.5 * K);
+      T[size_t(K - 1)] = lgammaReentrant(0.5 * K);
     return T;
   }();
   return Table;
@@ -66,7 +75,7 @@ double augur::logGamma(double X) {
   int I = halfIndex(X);
   if (I >= 0)
     return lgammaHalfTable()[size_t(I)];
-  return std::lgamma(X);
+  return lgammaReentrant(X);
 }
 
 double augur::digamma(double X) {

@@ -108,7 +108,10 @@ struct SimdDiffReport {
 /// NativeCpu) — and requires all three sample streams bit-identical
 /// (vector plans replay the interpreter's RNG consumption exactly;
 /// see exec/VecKernels.h). Honors Opts.RequireBitIdentical for the
-/// native leg like diffBackends.
+/// native leg like diffBackends. Opts.NumThreads / Opts.Reduce apply to
+/// all three legs; a pooled run stays bitwise under
+/// ReduceMode::MapReduce, which privatizes every contended float sum
+/// (plans replay the map-reduce fold).
 SimdDiffReport diffSimd(const GeneratedModel &GM, const DiffOptions &Opts);
 
 /// fuzzOne over the three-way SIMD differential: generates the model

@@ -178,8 +178,9 @@ TEST(DiagStreaming, RhatMatchesBatchReferenceOnAR1) {
           << "N=" << N << " phi=" << Phi;
       EXPECT_NEAR(Stream, Batch, 1e-6) << "N=" << N << " phi=" << Phi;
       // A stationary well-mixed chain scores near 1.
-      if (Phi <= 0.5 && N >= 256)
+      if (Phi <= 0.5 && N >= 256) {
         EXPECT_LT(Stream, 1.2) << "N=" << N << " phi=" << Phi;
+      }
     }
 }
 
@@ -504,9 +505,11 @@ TEST(DiagIntegration, SampleSetCarriesConvergenceSnapshots) {
     EXPECT_GE(KV.second, 1.0) << KV.first;
     EXPECT_LE(KV.second, 40.0 + 1e-9) << KV.first;
   }
-  for (const auto &KV : On.Rhat)
-    if (!std::isnan(KV.second))
+  for (const auto &KV : On.Rhat) {
+    if (!std::isnan(KV.second)) {
       EXPECT_GT(KV.second, 0.0) << KV.first;
+    }
+  }
 
   IntegrationRun Off = runGmm(/*NativeCpu=*/false, /*Diag=*/false);
   EXPECT_TRUE(Off.Rhat.empty());

@@ -122,9 +122,11 @@ TEST(EndToEnd, GmmHmcPlusGibbsSchedule) {
   ASSERT_TRUE(S.ok()) << S.message();
   expectClusterRecovery(*S, 1.0);
   // HMC must actually accept a healthy fraction of proposals.
-  for (auto &CU : Aug.program().updates())
-    if (CU.U.Kind == UpdateKind::Grad)
+  for (auto &CU : Aug.program().updates()) {
+    if (CU.U.Kind == UpdateKind::Grad) {
       EXPECT_GT(CU.Stats.acceptRate(), 0.5);
+    }
+  }
 }
 
 TEST(EndToEnd, ConjugateScalarPosteriorMatchesAnalytic) {
@@ -375,8 +377,9 @@ TEST(EndToEnd, RejectedProposalsRestoreState) {
     ASSERT_TRUE(runHmc(Ctx, HmcUpdate).ok());
   EXPECT_LT(HmcUpdate.Stats.acceptRate(), 0.3);
   // If everything was rejected, mu is bit-for-bit unchanged.
-  if (HmcUpdate.Stats.Accepted == 0)
+  if (HmcUpdate.Stats.Accepted == 0) {
     EXPECT_TRUE(Aug.program().state().at("mu") == MuCopy);
+  }
   // Either way the state must still be finite and consistent.
   EXPECT_TRUE(std::isfinite(Aug.program().logJoint()));
 }

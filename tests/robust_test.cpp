@@ -664,11 +664,14 @@ TEST(RobustGuardrail, InjectedNanQuarantinesAndChainSurvives) {
     Quarantines += CU.Guard.Quarantines;
   EXPECT_GT(Quarantines, 0u);
   // Quarantine restored committed state: every recorded draw is finite.
-  for (const auto &KV : S->Draws)
-    for (const Value &V : KV.second)
-      if (V.isRealVec())
+  for (const auto &KV : S->Draws) {
+    for (const Value &V : KV.second) {
+      if (V.isRealVec()) {
         for (double X : V.realVec().flat())
           EXPECT_TRUE(std::isfinite(X)) << KV.first;
+      }
+    }
+  }
   ASSERT_TRUE(robust::FaultInjector::global().configure("").ok());
 }
 

@@ -231,16 +231,17 @@ TEST(SimdPolicy, ResolveEnabledMatrix) {
   using simd::SimdMode;
 
   // Forces win over everything downstream of the target check.
-  EXPECT_FALSE(resolveEnabled(SimdMode::Off, true, 1, false));
-  EXPECT_TRUE(resolveEnabled(SimdMode::On, true, 8, true));
+  EXPECT_FALSE(resolveEnabled(SimdMode::Off, true, false));
+  EXPECT_TRUE(resolveEnabled(SimdMode::On, true, true));
   // Non-CPU targets never vectorize, even forced On.
-  EXPECT_FALSE(resolveEnabled(SimdMode::On, false, 1, false));
+  EXPECT_FALSE(resolveEnabled(SimdMode::On, false, false));
 
-  // Auto: sequential CPU programs with no fault spec armed.
-  EXPECT_TRUE(resolveEnabled(SimdMode::Auto, true, 1, false));
-  EXPECT_FALSE(resolveEnabled(SimdMode::Auto, true, 4, false));
-  EXPECT_FALSE(resolveEnabled(SimdMode::Auto, true, 1, true));
-  EXPECT_FALSE(resolveEnabled(SimdMode::Auto, false, 1, false));
+  // Auto: every CPU program with no fault spec armed. The pool width is
+  // not an input, so pooled programs are armed like sequential ones
+  // (tests/simd_pooled_test.cpp checks that end to end).
+  EXPECT_TRUE(resolveEnabled(SimdMode::Auto, true, false));
+  EXPECT_FALSE(resolveEnabled(SimdMode::Auto, true, true));
+  EXPECT_FALSE(resolveEnabled(SimdMode::Auto, false, false));
 }
 
 TEST(SimdPolicy, EnvOverridesAutoOnly) {
@@ -249,14 +250,14 @@ TEST(SimdPolicy, EnvOverridesAutoOnly) {
   using simd::SimdMode;
 
   setenv("AUGUR_SIMD", "0", 1);
-  EXPECT_FALSE(resolveEnabled(SimdMode::Auto, true, 1, false));
+  EXPECT_FALSE(resolveEnabled(SimdMode::Auto, true, false));
   // Programmatic forces are not perturbed by the environment.
-  EXPECT_TRUE(resolveEnabled(SimdMode::On, true, 1, false));
+  EXPECT_TRUE(resolveEnabled(SimdMode::On, true, false));
 
   setenv("AUGUR_SIMD", "1", 1);
-  EXPECT_TRUE(resolveEnabled(SimdMode::Auto, true, 4, true));
-  EXPECT_FALSE(resolveEnabled(SimdMode::Off, true, 1, false));
-  EXPECT_FALSE(resolveEnabled(SimdMode::Auto, false, 1, false));
+  EXPECT_TRUE(resolveEnabled(SimdMode::Auto, true, true));
+  EXPECT_FALSE(resolveEnabled(SimdMode::Off, true, false));
+  EXPECT_FALSE(resolveEnabled(SimdMode::Auto, false, false));
 }
 
 TEST(SimdFallback, NoAvx2AndEnvOffMatchVectorizedRun) {

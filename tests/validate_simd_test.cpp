@@ -14,6 +14,12 @@
 // slice of the model fuzzer runs the same three-way differential over
 // generated models, shrinking any failure to a minimal reproducer.
 //
+// The pooled configuration repeats the pinned GMM/HGMM/LDA regressions
+// and the fuzz shards on a 4-thread pool with Reduce=MapReduce: plans
+// must follow the pooled RNG streams and replay the map-reduce fold, and
+// forcing MapReduce privatizes every contended float sum so the pooled
+// scalar stream is reproducible in the first place.
+//
 //===----------------------------------------------------------------------===//
 
 #include <cmath>
@@ -34,6 +40,13 @@ DiffOptions smallChain(uint64_t Seed) {
   D.NumSamples = 20;
   D.BurnIn = 4;
   D.ChainSeed = Seed;
+  return D;
+}
+
+/// The pooled differential configuration.
+DiffOptions pooled(DiffOptions D) {
+  D.NumThreads = 4;
+  D.Reduce = ReduceMode::MapReduce;
   return D;
 }
 
@@ -177,13 +190,13 @@ int fuzzBudget() {
 constexpr int NumShards = 3;
 constexpr uint64_t SmokeSeedBase = 0x51D0;
 
-void runSimdShard(int Shard) {
+void runSimdShard(int Shard, const DiffOptions &Base = DiffOptions()) {
   int Budget = fuzzBudget();
   int Per = (Budget + NumShards - 1) / NumShards;
   int Lo = Shard * Per;
   int Hi = std::min(Budget, Lo + Per);
   GenOptions GOpts;
-  DiffOptions DOpts;
+  DiffOptions DOpts = Base;
   DOpts.NumSamples = 20;
   for (int I = Lo; I < Hi; ++I) {
     uint64_t Seed = SmokeSeedBase + uint64_t(I);
@@ -248,3 +261,23 @@ TEST(ValidateSimd, ThreeWayDiffIsReproducible) {
 TEST(ValidateSimd, FuzzShard0) { runSimdShard(0); }
 TEST(ValidateSimd, FuzzShard1) { runSimdShard(1); }
 TEST(ValidateSimd, FuzzShard2) { runSimdShard(2); }
+
+TEST(ValidateSimd, PooledGmmVectorized) {
+  expectSimdIdentical(gmmModel("", 300, 0x51F8), pooled(smallChain(0x51F8)),
+                      /*RequireVectorized=*/true);
+}
+
+TEST(ValidateSimd, PooledHgmmKnownCovVectorized) {
+  expectSimdIdentical(hgmmKnownCovModel(0x51F9),
+                      pooled(smallChain(0x51F9)),
+                      /*RequireVectorized=*/true);
+}
+
+TEST(ValidateSimd, PooledLdaVectorized) {
+  expectSimdIdentical(ldaModel(0x51FA), pooled(smallChain(0x51FA)),
+                      /*RequireVectorized=*/true);
+}
+
+TEST(ValidateSimd, PooledFuzzShard0) { runSimdShard(0, pooled({})); }
+TEST(ValidateSimd, PooledFuzzShard1) { runSimdShard(1, pooled({})); }
+TEST(ValidateSimd, PooledFuzzShard2) { runSimdShard(2, pooled({})); }

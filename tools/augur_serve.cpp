@@ -8,8 +8,7 @@
 //
 //   $ augur_serve --unix /tmp/augur.sock
 //   $ augur_serve --port 7771 --workers 4 --cache 16 --queue 32
-//   $ augur_serve --port 7771 --metrics-port 9464 \
-//                 --access-log /var/log/augur/access.jsonl
+//   $ augur_serve --port 7771 --metrics-port 9464 --access-log log.jsonl
 //
 // --metrics-port exposes the observability plane (DESIGN.md section
 // 14): HTTP GET /metrics answers Prometheus text exposition with
