@@ -3,11 +3,14 @@
 #include "cgen/Native.h"
 
 #include <cassert>
+#include <cctype>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
 #include <dlfcn.h>
+#include <filesystem>
 #include <fstream>
+#include <sstream>
 #include <unistd.h>
 
 #include "math/Simd.h"
@@ -15,6 +18,201 @@
 #include "support/Format.h"
 
 using namespace augur;
+
+//===----------------------------------------------------------------------===//
+// NativeImageCache
+//===----------------------------------------------------------------------===//
+
+NativeImageCache::~NativeImageCache() {
+  delete S;
+  delete Cv;
+  delete Mu;
+}
+
+NativeImageCache &NativeImageCache::global() {
+  // Never destroyed: engines may outlive static destruction order.
+  static NativeImageCache *G = new NativeImageCache(BudgetBytes);
+  return *G;
+}
+
+namespace {
+size_t charge(const std::string &Key, const std::string &Img) {
+  return Key.size() + Img.size();
+}
+} // namespace
+
+NativeImageCache::Image
+NativeImageCache::getOrBuild(const std::string &Key,
+                             const std::function<Image()> &Build,
+                             bool &Hit) {
+  Hit = false;
+  {
+    std::unique_lock<std::mutex> Lock(*Mu);
+    for (;;) {
+      if (auto It = S->Index.find(Key); It != S->Index.end()) {
+        S->Lru.splice(S->Lru.begin(), S->Lru, It->second);
+        Hit = true;
+        return It->second->Img;
+      }
+      if (!S->Building.count(Key))
+        break;
+      Cv->wait(Lock);
+    }
+    S->Building.insert(Key);
+  }
+  Image Built;
+  // Clears the in-flight mark on every exit, so waiters never hang.
+  auto Finish = [&] {
+    std::lock_guard<std::mutex> Lock(*Mu);
+    S->Building.erase(Key);
+    if (Built)
+      insertLocked(Key, Built);
+    Cv->notify_all();
+  };
+  try {
+    Built = Build();
+  } catch (...) {
+    Finish();
+    throw;
+  }
+  Finish();
+  return Built;
+}
+
+void NativeImageCache::clear() {
+  std::lock_guard<std::mutex> Lock(*Mu);
+  S->Lru.clear();
+  S->Index.clear();
+  S->Bytes = 0;
+}
+
+size_t NativeImageCache::entries() const {
+  std::lock_guard<std::mutex> Lock(*Mu);
+  return S->Lru.size();
+}
+
+size_t NativeImageCache::bytes() const {
+  std::lock_guard<std::mutex> Lock(*Mu);
+  return S->Bytes;
+}
+
+void NativeImageCache::reinitAfterFork() {
+  Mu = new std::mutex;
+  Cv = new std::condition_variable;
+  S = new State;
+}
+
+void NativeImageCache::insertLocked(const std::string &Key, Image I) {
+  if (charge(Key, *I) > Budget)
+    return;
+  S->Bytes += charge(Key, *I);
+  S->Lru.push_front({Key, std::move(I)});
+  S->Index[Key] = S->Lru.begin();
+  while (S->Bytes > Budget) {
+    const Entry &Old = S->Lru.back();
+    S->Bytes -= charge(Old.Key, *Old.Img);
+    S->Index.erase(Old.Key);
+    S->Lru.pop_back();
+  }
+}
+
+//===----------------------------------------------------------------------===//
+// Building and loading images
+//===----------------------------------------------------------------------===//
+
+namespace {
+
+/// Leading bytes of the compiler's output kept in a fallback reason.
+constexpr size_t MaxDiagnosticBytes = 2048;
+
+std::string readFile(const std::string &Path) {
+  std::ifstream In(Path, std::ios::binary);
+  std::ostringstream SS;
+  SS << In.rdbuf();
+  return SS.str();
+}
+
+/// Runs the host compiler \p CcCmd (compiler and flags) on \p Source in
+/// a fresh build directory and returns the built shared object, or null
+/// with \p Reason set. The directory is removed on every path. It stays
+/// under the literal /tmp, not $TMPDIR: the benchmark harness counts
+/// host-cc builds by watching /tmp for augur_native_* directories.
+NativeImageCache::Image buildImage(const std::string &CcCmd,
+                                   const std::string &Name,
+                                   const std::string &Source,
+                                   std::string &Reason) {
+  char Dir[] = "/tmp/augur_native_XXXXXX";
+  if (!mkdtemp(Dir)) {
+    Reason = "mkdtemp failed";
+    return nullptr;
+  }
+  std::string D = Dir;
+  std::string CPath = D + "/" + Name + ".c";
+  std::string SoPath = D + "/" + Name + ".so";
+  std::string LogPath = D + "/cc.log";
+  {
+    std::ofstream Out(CPath);
+    Out << Source;
+  }
+  Recorder::global().count("cgen/cc_builds");
+  std::string Cmd = CcCmd + " -o " + SoPath + " " + CPath + " -lm > " +
+                    LogPath + " 2>&1";
+  NativeImageCache::Image Img;
+  if (std::system(Cmd.c_str()) != 0) {
+    std::string Log = readFile(LogPath);
+    if (Log.size() > MaxDiagnosticBytes)
+      Log.resize(MaxDiagnosticBytes);
+    while (!Log.empty() && std::isspace((unsigned char)Log.back()))
+      Log.pop_back();
+    Reason = "host C compiler failed";
+    if (!Log.empty())
+      Reason += ": " + Log;
+  } else {
+    Img = std::make_shared<const std::string>(readFile(SoPath));
+    if (Img->empty()) {
+      Reason = "host C compiler produced no library";
+      Img = nullptr;
+    }
+  }
+  std::error_code EC;
+  std::filesystem::remove_all(D, EC);
+  return Img;
+}
+
+/// Loads a private instance of \p Img: writes it to a fresh file,
+/// dlopens that and unlinks it. Distinct files make distinct module
+/// instances, so engines never share module statics. Returns null with
+/// \p Reason set on failure.
+void *loadImage(const std::string &Img, int ExtraFlags,
+                std::string &Reason) {
+  char Path[] = "/tmp/augur_image_XXXXXX";
+  int Fd = mkstemp(Path);
+  if (Fd < 0) {
+    Reason = "mkstemp failed";
+    return nullptr;
+  }
+  size_t Off = 0;
+  while (Off < Img.size()) {
+    ssize_t N = ::write(Fd, Img.data() + Off, Img.size() - Off);
+    if (N <= 0)
+      break;
+    Off += size_t(N);
+  }
+  ::close(Fd);
+  void *H = nullptr;
+  if (Off != Img.size())
+    Reason = "writing the native image failed";
+  else if (!(H = dlopen(Path, RTLD_NOW | RTLD_LOCAL | ExtraFlags)))
+    Reason = strFormat("dlopen failed: %s", dlerror());
+  ::unlink(Path);
+  return H;
+}
+
+} // namespace
+
+//===----------------------------------------------------------------------===//
+// NativeEngine
+//===----------------------------------------------------------------------===//
 
 NativeEngine::~NativeEngine() {
   for (auto &KV : Compiled)
@@ -68,45 +266,36 @@ NativeEngine::getOrCompile(const std::string &Name) {
   }
   CgenSpan.arg("source_bytes", double(Mod->Source.size()));
 
-  char Dir[] = "/tmp/augur_native_XXXXXX";
-  if (!mkdtemp(Dir)) {
-    NP.Reason = "mkdtemp failed";
-    return Compiled.emplace(Name, std::move(NP)).first->second;
-  }
-  std::string CPath = std::string(Dir) + "/" + Name + ".c";
-  std::string SoPath = std::string(Dir) + "/" + Name + ".so";
-  {
-    std::ofstream Out(CPath);
-    Out << Mod->Source;
-  }
-  std::string Cmd = Cc + " -O2 -fPIC -shared";
+  std::string Flags = " -O2 -fPIC -shared";
   if (simdEnabled()) {
     // Vector codegen for the annotated Par loops. No -ffast-math: the
     // emitted arithmetic must stay bit-compatible with the interpreter
     // (the differential harness compares streams exactly), so only
     // reorderings that preserve IEEE semantics are allowed.
-    Cmd += " -ftree-vectorize -ffp-contract=off";
+    Flags += " -ftree-vectorize -ffp-contract=off";
     if (simd::cpuHasAvx2())
-      Cmd += " -mavx2";
+      Flags += " -mavx2";
   }
   if (Mod->Parallel)
-    Cmd += " -pthread -fno-strict-aliasing";
-  Cmd += " -o " + SoPath + " " + CPath + " -lm 2>/dev/null";
-  if (std::system(Cmd.c_str()) != 0) {
-    NP.Reason = "host C compiler failed";
+    Flags += " -pthread -fno-strict-aliasing";
+
+  bool Hit = false;
+  NativeImageCache::Image Img = NativeImageCache::global().getOrBuild(
+      Cc + '\n' + Flags + '\n' + Mod->Source,
+      [&] { return buildImage(Cc + Flags, Name, Mod->Source, NP.Reason); },
+      Hit);
+  CgenSpan.arg("cached", Hit ? 1.0 : 0.0);
+  if (Hit)
+    Recorder::global().count("cgen/image_hits");
+  if (!Img)
     return Compiled.emplace(Name, std::move(NP)).first->second;
-  }
+
   // A parallel module spawns detached pool workers whose code lives in
   // the module; RTLD_NODELETE keeps it mapped after dlclose so a worker
   // parked in pthread_cond_wait never resumes into unmapped memory.
-  int Flags = RTLD_NOW | RTLD_LOCAL;
-  if (Mod->Parallel)
-    Flags |= RTLD_NODELETE;
-  NP.Handle = dlopen(SoPath.c_str(), Flags);
-  if (!NP.Handle) {
-    NP.Reason = strFormat("dlopen failed: %s", dlerror());
+  NP.Handle = loadImage(*Img, Mod->Parallel ? RTLD_NODELETE : 0, NP.Reason);
+  if (!NP.Handle)
     return Compiled.emplace(Name, std::move(NP)).first->second;
-  }
   NP.Entry = reinterpret_cast<NativeProc::FnTy>(
       dlsym(NP.Handle, Name.c_str()));
   if (!NP.Entry) {

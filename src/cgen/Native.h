@@ -9,18 +9,98 @@
 /// interpreter, which keeps the hot likelihood/gradient primitives
 /// native while library sampling stays in the engine.
 ///
+/// Each distinct module is built once per process: the built image is
+/// kept in NativeImageCache, keyed by compiler, flags and source, and
+/// every engine loads its own instance of it, so module statics (the
+/// profile table, reduction scratch, the pthread pool of a parallel
+/// module) are never shared between engines.
+///
 //===----------------------------------------------------------------------===//
 
 #ifndef AUGUR_CGEN_NATIVE_H
 #define AUGUR_CGEN_NATIVE_H
 
+#include <condition_variable>
+#include <functional>
+#include <list>
 #include <map>
+#include <memory>
+#include <mutex>
+#include <set>
 #include <string>
+#include <unordered_map>
 
 #include "cgen/CEmit.h"
 #include "exec/Engine.h"
 
 namespace augur {
+
+/// Process-wide store of built native modules: the shared-object bytes
+/// of each module, keyed by the exact compiler, flags and emitted C it
+/// was built from. Bounded by a fixed byte budget (key plus image per
+/// entry) with least-recently-used eviction. Nothing is persisted: the
+/// cache lives and dies with the process.
+class NativeImageCache {
+public:
+  using Image = std::shared_ptr<const std::string>;
+  /// Byte budget of the process-wide cache.
+  static constexpr size_t BudgetBytes = size_t(64) << 20;
+
+  explicit NativeImageCache(size_t Budget) : Budget(Budget) {}
+  ~NativeImageCache();
+  NativeImageCache(const NativeImageCache &) = delete;
+  NativeImageCache &operator=(const NativeImageCache &) = delete;
+
+  static NativeImageCache &global();
+
+  /// Returns the image for \p Key, marking it most recently used, or
+  /// calls \p Build to make it. At most one caller builds a key at a
+  /// time; concurrent callers for the same key wait for it and share
+  /// the result. A built image is inserted with least-recently-used
+  /// eviction down to the budget; one larger than the whole budget, or
+  /// a failed build (null image), is not cached. \p Hit reports whether
+  /// no build ran in this call.
+  Image getOrBuild(const std::string &Key,
+                   const std::function<Image()> &Build, bool &Hit);
+
+  /// Drops every image.
+  void clear();
+
+  size_t entries() const;
+  /// Bytes charged against the budget: key plus image of every entry.
+  size_t bytes() const;
+
+  /// Fork hygiene: a forked child runs only the forking thread, so the
+  /// inherited lock may be held forever and inherited in-flight builds
+  /// never finish. Swaps in a fresh lock and an empty cache, leaking
+  /// the inherited ones on purpose (they may be mid-update).
+  void reinitAfterFork();
+
+  /// Takes the cache lock (tests use it to fork while it is held).
+  std::unique_lock<std::mutex> debugLock() {
+    return std::unique_lock<std::mutex>(*Mu);
+  }
+
+private:
+  struct Entry {
+    std::string Key;
+    Image Img;
+  };
+  struct State {
+    std::list<Entry> Lru; ///< most recently used first
+    std::unordered_map<std::string, std::list<Entry>::iterator> Index;
+    std::set<std::string> Building;
+    size_t Bytes = 0;
+  };
+
+  void insertLocked(const std::string &Key, Image I);
+
+  const size_t Budget;
+  // Behind pointers so reinitAfterFork can abandon the inherited ones.
+  std::mutex *Mu = new std::mutex;
+  std::condition_variable *Cv = new std::condition_variable;
+  State *S = new State;
+};
 
 /// Engine that runs native-emittable procedures as compiled C and
 /// interprets the rest.

@@ -20,6 +20,7 @@
 #endif
 
 #include "api/Diagnostics.h"
+#include "cgen/Native.h"
 #include "parallel/ThreadPool.h"
 #include "robust/FaultInject.h"
 #include "support/Format.h"
@@ -392,12 +393,14 @@ void installRlimits(const SandboxOptions &SO) {
 #endif
   // Fork hygiene. Only the forking thread exists in the child, so every
   // lock another daemon thread held at the fork instant is permanently
-  // unusable: the recorder flips off lock-free, the pool registry and
-  // fault injector swap in fresh mutexes, and nothing else in the
-  // sampling path takes daemon locks (the artifact is a private CoW
-  // copy, so even the per-artifact mutex is unnecessary here).
+  // unusable: the recorder flips off lock-free, the pool registry, the
+  // native image cache and the fault injector swap in fresh mutexes,
+  // and nothing else in the sampling path takes daemon locks (the
+  // artifact is a private CoW copy, so even the per-artifact mutex is
+  // unnecessary here).
   Recorder::global().disableInForkedChild();
   ThreadPool::resetAfterFork();
+  NativeImageCache::global().reinitAfterFork();
   robust::FaultInjector::global().reinitAfterFork();
   // The daemon's signal dispositions are not this process's business.
   ::signal(SIGTERM, SIG_DFL);

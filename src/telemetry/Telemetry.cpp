@@ -225,6 +225,15 @@ void Recorder::observe(const std::string &Name, double V) {
   S.Hists[Name].observe(V);
 }
 
+void Recorder::appendEvent(Shard &S, TraceEvent &&E) {
+  // Keeps the earliest events: compile spans come first and must
+  // survive a long-running daemon's per-sweep gauges.
+  if (S.Events.size() < MaxTraceEventsPerShard)
+    S.Events.push_back(std::move(E));
+  else
+    ++S.Counters["telemetry/trace_events_dropped"];
+}
+
 void Recorder::span(const std::string &Name, const char *Cat,
                     uint64_t StartNanos, uint64_t EndNanos,
                     std::vector<std::pair<std::string, double>> Args) {
@@ -240,7 +249,7 @@ void Recorder::span(const std::string &Name, const char *Cat,
   E.Ph = 'X';
   E.Args = std::move(Args);
   std::lock_guard<std::mutex> L(S.M);
-  S.Events.push_back(std::move(E));
+  appendEvent(S, std::move(E));
 }
 
 void Recorder::gauge(const std::string &Name, double V) {
@@ -256,7 +265,7 @@ void Recorder::gauge(const std::string &Name, double V) {
   E.Args.emplace_back("value", V);
   std::lock_guard<std::mutex> L(S.M);
   S.Gauges[Name] = {E.StartNanos, V};
-  S.Events.push_back(std::move(E));
+  appendEvent(S, std::move(E));
 }
 
 //===----------------------------------------------------------------------===//

@@ -136,6 +136,12 @@ public:
   Recorder(const Recorder &) = delete;
   Recorder &operator=(const Recorder &) = delete;
 
+  /// Trace events kept per shard. Later span() and gauge() events are
+  /// dropped (gauge last-values still update) and counted in the
+  /// "telemetry/trace_events_dropped" counter, so a long-running daemon
+  /// holds a bounded trace.
+  static constexpr size_t MaxTraceEventsPerShard = 4096;
+
   /// The process-wide recorder (the sink Compiler::compile wires the
   /// pipeline to). Starts disabled.
   static Recorder &global();
@@ -223,6 +229,8 @@ public:
 private:
   struct Shard;
   Shard &localShard();
+  /// Appends \p E to \p S under its lock, within the per-shard cap.
+  static void appendEvent(Shard &S, TraceEvent &&E);
 
   std::atomic<bool> Enabled{false};
   TelemetryConfig Cfg;

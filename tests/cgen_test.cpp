@@ -8,10 +8,22 @@
 //
 //===----------------------------------------------------------------------===//
 
+#include <chrono>
 #include <cmath>
+#include <condition_variable>
+#include <csignal>
+#include <cstring>
+#include <dirent.h>
+#include <filesystem>
+#include <mutex>
+#include <set>
+#include <sys/wait.h>
+#include <thread>
+#include <unistd.h>
 
 #include <gtest/gtest.h>
 
+#include "api/Infer.h"
 #include "blk/Passes.h"
 #include "cgen/CEmit.h"
 #include "cgen/CudaEmit.h"
@@ -23,6 +35,8 @@
 #include "lang/Parser.h"
 #include "lowpp/Reify.h"
 #include "models/PaperModels.h"
+#include "parallel/ThreadPool.h"
+#include "telemetry/Telemetry.h"
 
 using namespace augur;
 
@@ -57,6 +71,54 @@ Env hlrEnv(int64_t N, int64_t Kf, uint64_t Seed) {
   E["x"] = Value::realVec(std::move(X),
                           Type::vec(Type::vec(Type::realTy())));
   return E;
+}
+
+/// Names of the host-cc build directories currently in /tmp.
+std::set<std::string> nativeBuildDirs() {
+  std::set<std::string> Out;
+  if (DIR *D = opendir("/tmp")) {
+    while (dirent *E = readdir(D))
+      if (std::strncmp(E->d_name, "augur_native_", 13) == 0)
+        Out.insert(E->d_name);
+    closedir(D);
+  }
+  return Out;
+}
+
+/// Build directories that appeared since \p Before and still exist
+/// after a grace period. Other test processes build concurrently, but
+/// each of their directories lives only for one cc run.
+std::set<std::string> survivingBuildDirs(const std::set<std::string> &Before) {
+  std::set<std::string> New;
+  for (const auto &Name : nativeBuildDirs())
+    if (!Before.count(Name))
+      New.insert(Name);
+  for (int Try = 0; Try < 100 && !New.empty(); ++Try) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(100));
+    for (auto It = New.begin(); It != New.end();)
+      It = std::filesystem::exists("/tmp/" + *It) ? std::next(It)
+                                                  : New.erase(It);
+  }
+  return New;
+}
+
+Recorder &enabledGlobalRecorder() {
+  TelemetryConfig TC;
+  TC.Enabled = true;
+  Recorder::global().configure(TC);
+  return Recorder::global();
+}
+
+/// An engine holding a forward-sampled HLR state and procedure \p P.
+std::unique_ptr<NativeEngine> hlrNativeEngine(const DensityModel &DM,
+                                              const LowppProc &P,
+                                              std::string Cc = "cc") {
+  auto Nat = std::make_unique<NativeEngine>(42, std::move(Cc));
+  Nat->env() = hlrEnv(30, 4, 7);
+  RNG Rng(7);
+  EXPECT_TRUE(forwardSampleModel(DM, Nat->env(), Rng, true).ok());
+  Nat->addProc(P);
+  return Nat;
 }
 
 } // namespace
@@ -184,6 +246,244 @@ TEST(NativeEngineTest, SamplingProcsFallBackGracefully) {
   EXPECT_NE(Nat.fallbackReason("gibbs_m").find("sampling"),
             std::string::npos);
   EXPECT_NE(Nat.env().at("m").asReal(), 0.0);
+}
+
+//===----------------------------------------------------------------------===//
+// Native image cache: build once per process, one instance per engine
+//===----------------------------------------------------------------------===//
+
+TEST(NativeImageCacheTest, EvictsLeastRecentlyUsedWithinBudget) {
+  // Every entry charges a 1-byte key plus its image; true means a hit.
+  NativeImageCache C(100);
+  auto Get = [&](const std::string &Key, size_t N) {
+    bool Hit = false;
+    NativeImageCache::Image I = C.getOrBuild(
+        Key, [&] { return std::make_shared<const std::string>(N, 'x'); },
+        Hit);
+    EXPECT_EQ(I->size(), N);
+    return Hit;
+  };
+  EXPECT_FALSE(Get("a", 29));
+  EXPECT_FALSE(Get("b", 29));
+  EXPECT_FALSE(Get("c", 29));
+  EXPECT_EQ(C.entries(), 3u);
+  EXPECT_EQ(C.bytes(), 90u);
+  EXPECT_TRUE(Get("a", 29));  // a is now the most recent
+  EXPECT_FALSE(Get("d", 29)); // evicts b, the least recent
+  EXPECT_TRUE(Get("a", 29));
+  EXPECT_TRUE(Get("c", 29));
+  EXPECT_TRUE(Get("d", 29));
+  EXPECT_EQ(C.bytes(), 90u);
+  EXPECT_FALSE(Get("b", 29)); // rebuilt; evicts a
+  EXPECT_FALSE(Get("a", 29));
+  // An image over the whole budget is returned but neither kept nor
+  // allowed to evict anything.
+  EXPECT_FALSE(Get("huge", 200));
+  EXPECT_FALSE(Get("huge", 200));
+  EXPECT_EQ(C.entries(), 3u);
+  EXPECT_EQ(C.bytes(), 90u);
+  // A failed build is not cached.
+  bool Hit = true;
+  EXPECT_EQ(C.getOrBuild("bad", [] { return NativeImageCache::Image(); },
+                         Hit),
+            nullptr);
+  EXPECT_FALSE(Hit);
+  EXPECT_EQ(C.entries(), 3u);
+  C.clear();
+  EXPECT_EQ(C.entries(), 0u);
+  EXPECT_EQ(C.bytes(), 0u);
+}
+
+TEST(NativeImageCacheTest, BuildsOnceAndRemovesTheBuildDirectory) {
+  DensityModel DM = loadModel(models::HLR, hlrTypes());
+  LowppProc LL = genLikelihoodProc("llp_0", DM.Joint.Factors, "ll_llp_0");
+  Recorder &R = enabledGlobalRecorder();
+  NativeImageCache::global().clear();
+  std::set<std::string> Before = nativeBuildDirs();
+  uint64_t Builds0 = R.counterValue("cgen/cc_builds");
+  uint64_t Hits0 = R.counterValue("cgen/image_hits");
+
+  auto A = hlrNativeEngine(DM, LL);
+  A->runProc("llp_0");
+  ASSERT_TRUE(A->isNative("llp_0")) << A->fallbackReason("llp_0");
+  EXPECT_EQ(R.counterValue("cgen/cc_builds"), Builds0 + 1);
+  EXPECT_TRUE(survivingBuildDirs(Before).empty());
+
+  // A second engine loads the cached image: no build, same result.
+  auto B = hlrNativeEngine(DM, LL);
+  B->runProc("llp_0");
+  ASSERT_TRUE(B->isNative("llp_0")) << B->fallbackReason("llp_0");
+  EXPECT_EQ(R.counterValue("cgen/cc_builds"), Builds0 + 1);
+  EXPECT_EQ(R.counterValue("cgen/image_hits"), Hits0 + 1);
+  EXPECT_EQ(A->env().at("ll_llp_0").asReal(),
+            B->env().at("ll_llp_0").asReal());
+}
+
+TEST(NativeImageCacheTest, CompilerDiagnosticsReachTheFallbackReason) {
+  DensityModel DM = loadModel(models::HLR, hlrTypes());
+  LowppProc LL = genLikelihoodProc("llp_0", DM.Joint.Factors, "ll_llp_0");
+  std::set<std::string> Before = nativeBuildDirs();
+  auto Nat = hlrNativeEngine(DM, LL, "cc -include /nonexistent/augur.h");
+  Nat->runProc("llp_0"); // falls back to the interpreter
+  EXPECT_FALSE(Nat->isNative("llp_0"));
+  std::string Why = Nat->fallbackReason("llp_0");
+  EXPECT_NE(Why.find("host C compiler failed"), std::string::npos) << Why;
+  EXPECT_NE(Why.find("/nonexistent/augur.h"), std::string::npos) << Why;
+  EXPECT_TRUE(survivingBuildDirs(Before).empty());
+}
+
+TEST(NativeImageCacheTest, FourChainsBuildOnlyInTheFirstChain) {
+  // Builds depend on the distinct modules, not on the chain count:
+  // chains 1..3 load what chain 0 built, also when the chains run
+  // concurrently on the pool.
+  const int64_t N = 120, Kf = 3;
+  RNG DataRng(5);
+  BlockedReal X = BlockedReal::rect(N, Kf, 0.0);
+  BlockedInt Y = BlockedInt::flat(N, 0);
+  for (int64_t I = 0; I < N; ++I) {
+    for (int64_t J = 0; J < Kf; ++J)
+      X.at(I, J) = DataRng.gauss();
+    Y.at(I) = DataRng.uniform() < 0.5 ? 1 : 0;
+  }
+  Env Data;
+  Data["y"] = Value::intVec(std::move(Y));
+  std::vector<Value> Args = {
+      Value::realScalar(1.0), Value::intScalar(N), Value::intScalar(Kf),
+      Value::realVec(X, Type::vec(Type::vec(Type::realTy())))};
+
+  Recorder &R = enabledGlobalRecorder();
+  auto Run = [&](int Chains) {
+    NativeImageCache::global().clear();
+    uint64_t Builds0 = R.counterValue("cgen/cc_builds");
+    uint64_t Hits0 = R.counterValue("cgen/image_hits");
+    Infer Aug(models::HLR);
+    CompileOptions O;
+    O.Seed = 0xCAC4E;
+    O.NativeCpu = true;
+    O.Par.NumThreads = 2;
+    O.Par.Chains = Chains;
+    O.Hmc.StepSize = 0.02;
+    O.Hmc.LeapfrogSteps = 4;
+    Aug.setCompileOpt(O);
+    EXPECT_TRUE(Aug.compile(Args, Data).ok());
+    SampleOptions SO;
+    SO.NumSamples = 3;
+    auto Sets = Aug.sampleChains(SO);
+    EXPECT_TRUE(Sets.ok()) << Sets.message();
+    return std::make_pair(R.counterValue("cgen/cc_builds") - Builds0,
+                          R.counterValue("cgen/image_hits") - Hits0);
+  };
+  auto [Builds1, Hits1] = Run(1);
+  ASSERT_GT(Builds1, 0u);
+  auto [Builds4, Hits4] = Run(4);
+  EXPECT_EQ(Builds4, Builds1);
+  EXPECT_GT(Hits4, Hits1);
+}
+
+TEST(ParallelNativeImage, EnginesFromOneImageRunConcurrently) {
+  // Two engines loaded from one cached image of a pooled module each get
+  // their own module instance (pthread pool, reduction scratch, profile
+  // table), so running them concurrently matches a serial run bit for
+  // bit. The map-reduce plan makes the pooled sum width-invariant.
+  DensityModel DM = loadModel(models::HLR, hlrTypes());
+  LowppProc LL = genLikelihoodProc("llp_mr", DM.Joint.Factors, "ll_llp_mr");
+  Recorder &R = enabledGlobalRecorder();
+  ParallelConfig PC;
+  PC.NumThreads = 2;
+  PC.Grain = 8;
+  auto Make = [&] {
+    auto Nat = std::make_unique<NativeEngine>(42);
+    Nat->env() = hlrEnv(400, 4, 3);
+    RNG Rng(3);
+    EXPECT_TRUE(forwardSampleModel(DM, Nat->env(), Rng, true).ok());
+    Nat->addProc(LL);
+    CpuReduceOptions O;
+    O.Mode = ReduceMode::MapReduce;
+    EXPECT_GE(Nat->planReductions(O).MapReduceSites, 1);
+    Nat->setParallel(&ThreadPool::global(PC.NumThreads), PC);
+    return Nat;
+  };
+  const int Steps = 40;
+  auto Stream = [&](NativeEngine &E) {
+    std::vector<double> Out;
+    for (int S = 0; S < Steps; ++S) {
+      E.env()["b"] = Value::realScalar(0.05 * S - 1.0);
+      E.runProc("llp_mr");
+      Out.push_back(E.env().at("ll_llp_mr").asReal());
+    }
+    return Out;
+  };
+
+  NativeImageCache::global().clear();
+  auto Serial = Make();
+  std::vector<double> Want = Stream(*Serial);
+  ASSERT_TRUE(Serial->isNative("llp_mr")) << Serial->fallbackReason("llp_mr");
+
+  uint64_t Hits0 = R.counterValue("cgen/image_hits");
+  auto A = Make(), B = Make();
+  std::vector<double> GotA, GotB;
+  std::thread TA([&] { GotA = Stream(*A); });
+  std::thread TB([&] { GotB = Stream(*B); });
+  TA.join();
+  TB.join();
+  ASSERT_TRUE(A->isNative("llp_mr")) << A->fallbackReason("llp_mr");
+  ASSERT_TRUE(B->isNative("llp_mr")) << B->fallbackReason("llp_mr");
+  EXPECT_EQ(R.counterValue("cgen/image_hits"), Hits0 + 2);
+  ASSERT_EQ(GotA.size(), Want.size());
+  ASSERT_EQ(GotB.size(), Want.size());
+  for (size_t I = 0; I < Want.size(); ++I) {
+    EXPECT_EQ(std::memcmp(&GotA[I], &Want[I], sizeof(double)), 0) << I;
+    EXPECT_EQ(std::memcmp(&GotB[I], &Want[I], sizeof(double)), 0) << I;
+  }
+}
+
+TEST(NativeImageCacheTest, ForkedChildLoadsWhileParentThreadHoldsTheLock) {
+  // A daemon thread may hold the cache lock at the fork instant; the
+  // forked worker must still build and load its first native module.
+  DensityModel DM = loadModel(models::HLR, hlrTypes());
+  LowppProc LL = genLikelihoodProc("llp_0", DM.Joint.Factors, "ll_llp_0");
+  std::mutex M;
+  std::condition_variable Cv;
+  bool Held = false, Release = false;
+  std::thread Holder([&] {
+    auto Lock = NativeImageCache::global().debugLock();
+    std::unique_lock<std::mutex> L(M);
+    Held = true;
+    Cv.notify_all();
+    Cv.wait(L, [&] { return Release; });
+  });
+  {
+    std::unique_lock<std::mutex> L(M);
+    Cv.wait(L, [&] { return Held; });
+  }
+  pid_t Pid = fork();
+  ASSERT_GE(Pid, 0);
+  if (Pid == 0) {
+    NativeImageCache::global().reinitAfterFork();
+    auto Nat = hlrNativeEngine(DM, LL);
+    Nat->runProc("llp_0");
+    _exit(Nat->isNative("llp_0") ? 0 : 3);
+  }
+  int Status = 0;
+  pid_t Done = 0;
+  for (int Try = 0; Try < 300 && Done == 0; ++Try) {
+    Done = waitpid(Pid, &Status, WNOHANG);
+    if (Done == 0)
+      std::this_thread::sleep_for(std::chrono::milliseconds(100));
+  }
+  if (Done == 0) {
+    kill(Pid, SIGKILL);
+    waitpid(Pid, &Status, 0);
+  }
+  {
+    std::lock_guard<std::mutex> L(M);
+    Release = true;
+  }
+  Cv.notify_all();
+  Holder.join();
+  ASSERT_NE(Done, 0) << "forked child deadlocked on the cache lock";
+  ASSERT_TRUE(WIFEXITED(Status));
+  EXPECT_EQ(WEXITSTATUS(Status), 0) << "child did not run natively";
 }
 
 TEST(CudaEmit, LikelihoodKernelsHaveMapReduceShape) {

@@ -32,6 +32,7 @@
 #include <gtest/gtest.h>
 
 #include "api/Infer.h"
+#include "cgen/Native.h"
 #include "models/PaperModels.h"
 #include "robust/Checkpoint.h"
 #include "robust/FaultInject.h"
@@ -168,6 +169,26 @@ TestModel ldaModel(int64_t D, uint64_t Seed) {
                  Value::intVec(L)};
   M.Data["w"] = Value::intVec(BlockedInt::ragged(Docs),
                               Type::vec(Type::vec(Type::intTy())));
+  return M;
+}
+
+TestModel hlrModel(int64_t N, uint64_t Seed) {
+  TestModel M;
+  M.Source = models::HLR;
+  const int64_t Kf = 3;
+  RNG Rng(Seed);
+  BlockedReal X = BlockedReal::rect(N, Kf, 0.0);
+  BlockedInt Y = BlockedInt::flat(N, 0);
+  for (int64_t I = 0; I < N; ++I) {
+    for (int64_t J = 0; J < Kf; ++J)
+      X.at(I, J) = Rng.gauss();
+    Y.at(I) = Rng.uniform() < 0.5 ? 1 : 0;
+  }
+  M.HyperArgs = {Value::realScalar(1.0), Value::intScalar(N),
+                 Value::intScalar(Kf),
+                 Value::realVec(std::move(X),
+                                Type::vec(Type::vec(Type::realTy())))};
+  M.Data["y"] = Value::intVec(std::move(Y));
   return M;
 }
 
@@ -773,6 +794,24 @@ TEST(RobustFaults, NativeCompileFailureFallsBackToInterpreter) {
   Result<SampleSet> Interp = runChain(M, false, 0xFA02, sampleOpts());
   ASSERT_TRUE(Interp.ok());
   expectSetsIdentical(*Interp, *Degraded, "native fallback vs interp");
+}
+
+TEST(RobustFaults, NativeCompileFailureFallsBackWhenImageIsCached) {
+  // The probe runs ahead of the image-cache lookup, so a cached module
+  // does not mask an injected toolchain failure.
+  TestModel M = hlrModel(40, 0xFA05);
+  ASSERT_TRUE(runChain(M, true, 0xFA05, sampleOpts()).ok());
+  ASSERT_GT(NativeImageCache::global().entries(), 0u);
+  Result<SampleSet> Degraded = runChain(M, true, 0xFA05, sampleOpts(),
+                                        "native-compile-fail:p=1.0");
+  ASSERT_TRUE(Degraded.ok()) << Degraded.message();
+  EXPECT_GT(robust::FaultInjector::global().fired(
+                robust::FaultClass::NativeCompileFail),
+            0u);
+  Result<SampleSet> Interp = runChain(M, false, 0xFA05, sampleOpts());
+  ASSERT_TRUE(Interp.ok());
+  expectSetsIdentical(*Interp, *Degraded, "cached native fallback vs interp");
+  ASSERT_TRUE(robust::FaultInjector::global().configure("").ok());
 }
 
 TEST(RobustFaults, WorkerFaultSurfacesAndPoolSurvives) {

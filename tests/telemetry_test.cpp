@@ -219,6 +219,31 @@ TEST(Telemetry, SpansCaptureDurationAndArgs) {
   EXPECT_EQ(Gauge->Ph, 'C');
 }
 
+TEST(Telemetry, TraceEventLogIsBoundedPerShard) {
+  // A long-running daemon publishes gauges every sweep; the trace keeps
+  // the earliest events (compile spans first) and counts the rest.
+  Recorder Rec;
+  makeEnabled(Rec);
+  const size_t Cap = Recorder::MaxTraceEventsPerShard;
+  Rec.span("t/first", "test", 0, 10);
+  for (size_t I = 1; I < Cap + 150; ++I) {
+    if (I % 2)
+      Rec.gauge("t/level", double(I));
+    else
+      Rec.span("t/work", "test", I, I + 1);
+  }
+  auto Events = Rec.traceEvents();
+  ASSERT_EQ(Events.size(), Cap);
+  EXPECT_EQ(Events.front().Name, "t/first");
+  EXPECT_EQ(Rec.counterValue("telemetry/trace_events_dropped"), 150u);
+  // Gauge last-values keep updating past the cap.
+  EXPECT_EQ(Rec.gauges().at("t/level"), double(Cap + 149));
+  Rec.reset();
+  Rec.gauge("t/level", 1.0);
+  EXPECT_EQ(Rec.traceEvents().size(), 1u);
+  EXPECT_EQ(Rec.counterValue("telemetry/trace_events_dropped"), 0u);
+}
+
 TEST(Telemetry, DisabledRecorderAllocatesNothing) {
   Recorder Rec; // never enabled
   Rec.count("t/counter", 7);
