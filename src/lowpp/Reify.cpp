@@ -4,6 +4,7 @@
 
 #include <algorithm>
 #include <cassert>
+#include <map>
 
 #include "support/Format.h"
 
@@ -75,12 +76,94 @@ bool mentionsAny(const ExprPtr &E, const std::vector<std::string> &Targets) {
   return false;
 }
 
+/// Forward values the adjoint code reads, keyed by expression node. A
+/// bound node's value lives in a Low++ local computed once, before any
+/// adjoint statement of its factor; unbound nodes stand for themselves.
+using ForwardValues = std::map<const Expr *, ExprPtr>;
+
+ExprPtr valueOf(const ExprPtr &E, const ForwardValues &Fwd) {
+  auto It = Fwd.find(E.get());
+  return It == Fwd.end() ? E : It->second;
+}
+
+/// Emits `local v : Real; v = E` and returns v.
+ExprPtr bindReal(const std::string &Base, ExprPtr E,
+                 std::vector<LStmtPtr> &Out, Gensym &Gen) {
+  std::string V = Gen.fresh(Base);
+  Out.push_back(stDeclLocal(V, LocalKind::Real, {}));
+  Out.push_back(stAssign(LValue::scalar(V), std::move(E)));
+  return Expr::var(V);
+}
+
+/// Binds a non-atomic adjoint that is read more than once.
+ExprPtr bindAdjoint(ExprPtr Adj, std::vector<LStmtPtr> &Out, Gensym &Gen) {
+  if (Adj->kind() != Expr::Kind::Prim)
+    return Adj;
+  return bindReal("t_bar", std::move(Adj), Out, Gen);
+}
+
+/// Forward sweep over a differentiated expression, children first:
+/// binds every node whose value the reverse sweep (emitExprAdjoint)
+/// reads, plus \p E itself when \p Needed, so each such value is
+/// evaluated once. Only prims that reach a target are bound; those are
+/// real scalars (shape queries excepted). Returns \p E's value in terms
+/// of the bound locals.
+ExprPtr bindForward(const ExprPtr &E, bool Needed,
+                    const std::vector<std::string> &Targets,
+                    std::vector<LStmtPtr> &Out, Gensym &Gen,
+                    ForwardValues &Fwd) {
+  if (E->kind() != Expr::Kind::Prim || !mentionsAny(E, Targets) ||
+      E->primOp() == PrimOp::Len || E->primOp() == PrimOp::Rows)
+    return E;
+  auto Seen = Fwd.find(E.get());
+  if (Seen != Fwd.end())
+    return Seen->second;
+  const auto &Args = E->args();
+  // Which arguments' values, and whether E's own value, the reverse
+  // sweep reads.
+  std::vector<bool> ArgNeeded(Args.size(), false);
+  switch (E->primOp()) {
+  case PrimOp::Mul:
+    ArgNeeded[0] = mentionsAny(Args[1], Targets);
+    ArgNeeded[1] = mentionsAny(Args[0], Targets);
+    break;
+  case PrimOp::Div:
+    ArgNeeded[1] = true;
+    Needed = Needed || mentionsAny(Args[1], Targets);
+    break;
+  case PrimOp::Log:
+    ArgNeeded[0] = true;
+    break;
+  case PrimOp::Exp:
+  case PrimOp::Sqrt:
+  case PrimOp::Sigmoid:
+    Needed = true;
+    break;
+  default:
+    break;
+  }
+  std::vector<ExprPtr> NewArgs;
+  for (size_t I = 0; I < Args.size(); ++I)
+    NewArgs.push_back(
+        bindForward(Args[I], ArgNeeded[I], Targets, Out, Gen, Fwd));
+  ExprPtr Value = Expr::prim(E->primOp(), std::move(NewArgs));
+  if (!Needed)
+    return Value;
+  ExprPtr V = bindReal("t_fwd", std::move(Value), Out, Gen);
+  Fwd.emplace(E.get(), V);
+  return V;
+}
+
 /// Reverse-mode adjoint propagation through a pure expression (the
 /// expression-level chain rule on top of Fig. 8's density translation).
-/// Accumulates Adj * dE/d(target leaf) into the adj buffers.
-void emitExprAdjoint(const ExprPtr &E, const ExprPtr &Adj,
+/// Accumulates Adj * dE/d(target leaf) into the adj buffers, reading
+/// forward values from \p Fwd (bound by bindForward) and binding each
+/// composite adjoint before it fans out, so the emitted code evaluates
+/// every intermediate once rather than re-embedding E at every use.
+void emitExprAdjoint(const ExprPtr &E, ExprPtr Adj,
                      const std::vector<std::string> &Targets,
-                     std::vector<LStmtPtr> &Out, Gensym &Gen) {
+                     const ForwardValues &Fwd, std::vector<LStmtPtr> &Out,
+                     Gensym &Gen) {
   if (!mentionsAny(E, Targets))
     return;
   if (auto Loc = directAdjLocation(E, Targets)) {
@@ -90,57 +173,62 @@ void emitExprAdjoint(const ExprPtr &E, const ExprPtr &Adj,
   if (E->kind() != Expr::Kind::Prim)
     return; // index of a target by a target: discrete, no gradient flows
   const auto &Args = E->args();
+  auto Recurse = [&](size_t I, ExprPtr ArgAdj) {
+    emitExprAdjoint(Args[I], std::move(ArgAdj), Targets, Fwd, Out, Gen);
+  };
+  // Binary nodes fan the adjoint out to both sides.
+  if (Args.size() == 2 && mentionsAny(Args[0], Targets) &&
+      mentionsAny(Args[1], Targets))
+    Adj = bindAdjoint(std::move(Adj), Out, Gen);
   switch (E->primOp()) {
   case PrimOp::Add:
-    emitExprAdjoint(Args[0], Adj, Targets, Out, Gen);
-    emitExprAdjoint(Args[1], Adj, Targets, Out, Gen);
+    Recurse(0, Adj);
+    Recurse(1, Adj);
     return;
   case PrimOp::Sub:
-    emitExprAdjoint(Args[0], Adj, Targets, Out, Gen);
-    emitExprAdjoint(Args[1], Expr::prim(PrimOp::Neg, {Adj}), Targets, Out,
-                    Gen);
+    Recurse(0, Adj);
+    Recurse(1, Expr::prim(PrimOp::Neg, {Adj}));
     return;
   case PrimOp::Mul:
-    emitExprAdjoint(Args[0], Expr::mul(Adj, Args[1]), Targets, Out, Gen);
-    emitExprAdjoint(Args[1], Expr::mul(Adj, Args[0]), Targets, Out, Gen);
+    Recurse(0, Expr::mul(Adj, valueOf(Args[1], Fwd)));
+    Recurse(1, Expr::mul(Adj, valueOf(Args[0], Fwd)));
     return;
-  case PrimOp::Div:
+  case PrimOp::Div: {
     // d(a/b)/da = 1/b ; d(a/b)/db = -(a/b)/b.
-    emitExprAdjoint(Args[0], Expr::prim(PrimOp::Div, {Adj, Args[1]}),
-                    Targets, Out, Gen);
-    emitExprAdjoint(
-        Args[1],
-        Expr::prim(PrimOp::Neg,
-                   {Expr::prim(PrimOp::Div, {Expr::mul(Adj, E), Args[1]})}),
-        Targets, Out, Gen);
+    ExprPtr B = valueOf(Args[1], Fwd);
+    Recurse(0, Expr::prim(PrimOp::Div, {Adj, B}));
+    Recurse(1, Expr::prim(PrimOp::Neg,
+                          {Expr::prim(PrimOp::Div,
+                                      {Expr::mul(Adj, valueOf(E, Fwd)),
+                                       B})}));
     return;
+  }
   case PrimOp::Neg:
-    emitExprAdjoint(Args[0], Expr::prim(PrimOp::Neg, {Adj}), Targets, Out,
-                    Gen);
+    Recurse(0, Expr::prim(PrimOp::Neg, {Adj}));
     return;
   case PrimOp::Exp:
-    emitExprAdjoint(Args[0], Expr::mul(Adj, E), Targets, Out, Gen);
+    Recurse(0, Expr::mul(Adj, valueOf(E, Fwd)));
     return;
   case PrimOp::Log:
-    emitExprAdjoint(Args[0], Expr::prim(PrimOp::Div, {Adj, Args[0]}),
-                    Targets, Out, Gen);
+    Recurse(0, Expr::prim(PrimOp::Div, {Adj, valueOf(Args[0], Fwd)}));
     return;
   case PrimOp::Sqrt:
     // d sqrt(u) = 1/(2 sqrt(u)).
-    emitExprAdjoint(Args[0],
-                    Expr::prim(PrimOp::Div,
-                               {Adj, Expr::mul(Expr::realLit(2.0), E)}),
-                    Targets, Out, Gen);
+    Recurse(0, Expr::prim(PrimOp::Div,
+                          {Adj, Expr::mul(Expr::realLit(2.0),
+                                          valueOf(E, Fwd))}));
     return;
   case PrimOp::Sigmoid: {
     // d sigma(u) = sigma(u)(1 - sigma(u)).
-    ExprPtr DSig = Expr::mul(E, Expr::prim(PrimOp::Sub, {lit1(), E}));
-    emitExprAdjoint(Args[0], Expr::mul(Adj, DSig), Targets, Out, Gen);
+    ExprPtr S = valueOf(E, Fwd);
+    Recurse(0, Expr::mul(Adj, Expr::mul(S, Expr::prim(PrimOp::Sub,
+                                                      {lit1(), S}))));
     return;
   }
   case PrimOp::Dot: {
     // Each side that reaches a target contributes elementwise:
-    // adj(side[j]) += Adj * other[j].
+    // adj(side[j]) += Adj * other[j], with Adj read once per element.
+    Adj = bindAdjoint(std::move(Adj), Out, Gen);
     for (int Side = 0; Side < 2; ++Side) {
       const ExprPtr &S = Args[static_cast<size_t>(Side)];
       const ExprPtr &O = Args[static_cast<size_t>(1 - Side)];
@@ -150,7 +238,7 @@ void emitExprAdjoint(const ExprPtr &E, const ExprPtr &Adj,
       std::vector<LStmtPtr> Body;
       emitExprAdjoint(Expr::index(S, Expr::var(J)),
                       Expr::mul(Adj, Expr::index(O, Expr::var(J))), Targets,
-                      Body, Gen);
+                      Fwd, Body, Gen);
       Out.push_back(stLoop(LoopKind::AtmPar, J, Expr::intLit(0),
                            Expr::prim(PrimOp::Len, {O}), std::move(Body)));
     }
@@ -231,6 +319,14 @@ Result<LowppProc> augur::genGradProc(const std::string &Name,
 
   for (const auto &F : BC.Factors) {
     std::vector<LStmtPtr> Inner;
+    // Forward sweep: bind each composite parameter that reaches a
+    // target, and every intermediate its adjoint reads, once. Every
+    // distribution call below reads the bound values.
+    ForwardValues Fwd;
+    std::vector<ExprPtr> Params;
+    for (const auto &Param : F.Params)
+      Params.push_back(bindForward(Param, /*Needed=*/true, Targets, Inner,
+                                   Gen, Fwd));
     // Adjoint of the variate (argument 0).
     if (mentionsAny(F.At, Targets)) {
       auto Loc = directAdjLocation(F.At, Targets);
@@ -239,7 +335,7 @@ Result<LowppProc> augur::genGradProc(const std::string &Name,
             "cannot differentiate factor '%s': variate is not a direct "
             "location",
             F.str().c_str()));
-      Inner.push_back(stAccumGrad(*Loc, F.D, 0, F.Params, F.At, lit1()));
+      Inner.push_back(stAccumGrad(*Loc, F.D, 0, Params, F.At, lit1()));
     }
     // Adjoints of the parameters (arguments 1..n).
     for (size_t I = 0; I < F.Params.size(); ++I) {
@@ -248,7 +344,7 @@ Result<LowppProc> augur::genGradProc(const std::string &Name,
         continue;
       if (auto Loc = directAdjLocation(Param, Targets)) {
         Inner.push_back(stAccumGrad(*Loc, F.D, static_cast<int>(I) + 1,
-                                    F.Params, F.At, lit1()));
+                                    Params, F.At, lit1()));
         continue;
       }
       // Composite scalar expression: compute the distribution's local
@@ -256,9 +352,9 @@ Result<LowppProc> augur::genGradProc(const std::string &Name,
       std::string T = Gen.fresh("t_adj");
       Inner.push_back(stDeclLocal(T, LocalKind::Real, {}));
       Inner.push_back(stAccumGrad(LValue::scalar(T), F.D,
-                                  static_cast<int>(I) + 1, F.Params, F.At,
+                                  static_cast<int>(I) + 1, Params, F.At,
                                   lit1()));
-      emitExprAdjoint(Param, Expr::var(T), Targets, Inner, Gen);
+      emitExprAdjoint(Param, Expr::var(T), Targets, Fwd, Inner, Gen);
     }
     if (Inner.empty())
       continue;

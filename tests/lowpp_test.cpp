@@ -9,9 +9,12 @@
 //===----------------------------------------------------------------------===//
 
 #include <cmath>
+#include <cstring>
+#include <functional>
 
 #include <gtest/gtest.h>
 
+#include "cgen/Native.h"
 #include "density/Eval.h"
 #include "density/Forward.h"
 #include "density/Frontend.h"
@@ -205,6 +208,213 @@ TEST(GradGen, GmmMuGradientMatchesFiniteDifferences) {
                   1e-4 * (1 + std::abs(Fd)))
           << K << "," << D;
     }
+}
+
+namespace {
+
+/// Visits every expression a statement tree reads (right-hand sides,
+/// distribution arguments, adjoint multipliers, bounds, indices).
+void forEachExpr(const std::vector<LStmtPtr> &Body,
+                 const std::function<void(const ExprPtr &)> &Fn) {
+  auto Visit = [&](const ExprPtr &E) {
+    if (E)
+      Fn(E);
+  };
+  for (const auto &S : Body) {
+    Visit(S->Rhs);
+    Visit(S->At);
+    Visit(S->Adj);
+    Visit(S->Lo);
+    Visit(S->Hi);
+    for (const auto &E : S->Params)
+      Visit(E);
+    for (const auto &E : S->Dims)
+      Visit(E);
+    for (const auto &E : S->Dest.Idxs)
+      Visit(E);
+    for (const auto &G : S->Guards) {
+      Visit(G.Lhs);
+      Visit(G.Rhs);
+    }
+    forEachExpr(S->Then, Fn);
+    forEachExpr(S->Body, Fn);
+  }
+}
+
+/// Number of prim nodes with operator \p Op under \p Body.
+int countPrims(const std::vector<LStmtPtr> &Body, PrimOp Op) {
+  int N = 0;
+  std::function<void(const ExprPtr &)> Count = [&](const ExprPtr &E) {
+    if (E->kind() == Expr::Kind::Prim && E->primOp() == Op)
+      ++N;
+    if (E->kind() == Expr::Kind::Prim || E->kind() == Expr::Kind::Index)
+      for (const auto &A : E->args())
+        Count(A);
+  };
+  forEachExpr(Body, Count);
+  return N;
+}
+
+/// The loop over \p Var at any depth of \p Body, or null.
+const LStmt *findLoop(const std::vector<LStmtPtr> &Body,
+                      const std::string &Var) {
+  for (const auto &S : Body) {
+    if (S->K == LStmt::Kind::Loop && S->LoopVar == Var)
+      return S.get();
+    if (const LStmt *L = findLoop(S->Body, Var))
+      return L;
+    if (const LStmt *L = findLoop(S->Then, Var))
+      return L;
+  }
+  return nullptr;
+}
+
+uint64_t bitsOf(double D) {
+  uint64_t U;
+  std::memcpy(&U, &D, sizeof U);
+  return U;
+}
+
+/// Composite parameters over every differentiable prim: Exp, Sqrt,
+/// Div, Sub, Neg, Log and a nested Sigmoid, with targets reaching both
+/// sides of Div, Mul and Sub.
+const char *CompositeModel = R"model(
+(N, K, x) => {
+  param a ~ Normal(0.0, 1.0) ;
+  param c ~ Exponential(1.0) ;
+  param w[k] ~ Normal(0.0, 1.0)
+    for k <- 0 until K ;
+  data y[n] ~ Normal(exp(a) / (1.0 + sqrt(c)) - log(c + 1.0) * dot(x[n], w),
+                     sqrt(c) + sigmoid(-sigmoid(a * x[n][0])))
+    for n <- 0 until N ;
+}
+)model";
+
+std::map<std::string, Type> compositeTypes() {
+  return {{"N", Type::intTy()},
+          {"K", Type::intTy()},
+          {"x", Type::vec(Type::vec(Type::realTy()))}};
+}
+
+Env compositeEnv(int64_t N, int64_t K, uint64_t Seed) {
+  RNG Rng(Seed);
+  Env E;
+  E["N"] = Value::intScalar(N);
+  E["K"] = Value::intScalar(K);
+  BlockedReal X = BlockedReal::rect(N, K, 0.0);
+  for (int64_t I = 0; I < N; ++I)
+    for (int64_t J = 0; J < K; ++J)
+      X.at(I, J) = Rng.gauss();
+  E["x"] = Value::realVec(std::move(X),
+                          Type::vec(Type::vec(Type::realTy())));
+  return E;
+}
+
+} // namespace
+
+TEST(LowppAd, HlrGradientEvaluatesEachForwardValueOnce) {
+  DensityModel DM = loadModel(models::HLR, hlrTypes());
+  std::vector<std::string> Targets = {"sigma2", "b", "theta"};
+  BlockCond BC = restrictJoint(DM, Targets);
+  auto Grad = genGradProc("grad_hlr", BC, Targets);
+  ASSERT_TRUE(Grad.ok()) << Grad.message();
+
+  // One row of the likelihood: sigmoid(dot(x[n], theta) + b) is
+  // evaluated once, and its single dot product with it.
+  const LStmt *Row = findLoop(Grad->Body, "n");
+  ASSERT_NE(Row, nullptr) << Grad->str();
+  EXPECT_EQ(countPrims(Row->Body, PrimOp::Sigmoid), 1) << Grad->str();
+  EXPECT_EQ(countPrims(Row->Body, PrimOp::Dot), 1) << Grad->str();
+
+  // The per-feature adjoint loop reads only the bound row adjoint and
+  // the data: no forward expression, and no parameter, sits inside it.
+  const LStmt *Feature = nullptr;
+  for (const auto &S : Row->Body)
+    if (S->K == LStmt::Kind::Loop)
+      Feature = S.get();
+  ASSERT_NE(Feature, nullptr) << Grad->str();
+  for (PrimOp Op : {PrimOp::Sigmoid, PrimOp::Dot, PrimOp::Add, PrimOp::Sub})
+    EXPECT_EQ(countPrims(Feature->Body, Op), 0)
+        << primOpName(Op) << " in\n" << Grad->str();
+  forEachExpr(Feature->Body, [&](const ExprPtr &E) {
+    EXPECT_FALSE(E->mentionsVar("theta") || E->mentionsVar("b"))
+        << E->str();
+  });
+}
+
+TEST(LowppAd, CompositeParametersMatchFiniteDifferencesAndNative) {
+  DensityModel DM = loadModel(CompositeModel, compositeTypes());
+  Env E = compositeEnv(9, 3, 23);
+  RNG Rng(23);
+  ASSERT_TRUE(forwardSampleModel(DM, E, Rng, true).ok());
+
+  std::vector<std::string> Targets = {"a", "c", "w"};
+  BlockCond BC = restrictJoint(DM, Targets);
+  auto Grad = genGradProc("grad_comp", BC, Targets);
+  ASSERT_TRUE(Grad.ok()) << Grad.message();
+  for (PrimOp Op : {PrimOp::Exp, PrimOp::Sqrt, PrimOp::Div, PrimOp::Sub,
+                    PrimOp::Neg, PrimOp::Log, PrimOp::Sigmoid})
+    EXPECT_GT(countPrims(Grad->Body, Op), 0) << primOpName(Op);
+
+  InterpEngine Ref(29);
+  for (auto &KV : E)
+    Ref.env()[KV.first] = KV.second;
+  for (const auto &T : Targets)
+    Ref.env()["adj_" + T] = zerosLike(E.at(T));
+  Ref.addProc(*Grad);
+  Ref.runProc("grad_comp");
+  const Env &Got = Ref.env();
+
+  auto RestrictedLL = [&](const Env &Env2) {
+    EvalCtx Ctx(Env2);
+    double Sum = 0.0;
+    for (const auto &F : BC.Factors)
+      Sum += evalFactorLogPdf(F, Ctx);
+    return Sum;
+  };
+  const double H = 1e-6;
+  for (const char *Var : {"a", "c"}) {
+    Env E2 = E;
+    double Orig = E2.at(Var).asReal();
+    E2[Var] = Value::realScalar(Orig + H);
+    double Up = RestrictedLL(E2);
+    E2[Var] = Value::realScalar(Orig - H);
+    double Down = RestrictedLL(E2);
+    double Fd = (Up - Down) / (2 * H);
+    EXPECT_NEAR(Got.at(std::string("adj_") + Var).asReal(), Fd,
+                1e-4 * (1 + std::abs(Fd)))
+        << Var;
+  }
+  for (int64_t J = 0; J < 3; ++J) {
+    Env E2 = E;
+    double Orig = E2.at("w").realVec().at(J);
+    E2["w"].realVec().at(J) = Orig + H;
+    double Up = RestrictedLL(E2);
+    E2["w"].realVec().at(J) = Orig - H;
+    double Down = RestrictedLL(E2);
+    double Fd = (Up - Down) / (2 * H);
+    EXPECT_NEAR(Got.at("adj_w").realVec().at(J), Fd,
+                1e-4 * (1 + std::abs(Fd)))
+        << "w[" << J << "]";
+  }
+
+  // Emitted C evaluates the same bound locals: bitwise equal adjoints.
+  NativeEngine Nat(29);
+  for (auto &KV : E)
+    Nat.env()[KV.first] = KV.second;
+  for (const auto &T : Targets)
+    Nat.env()["adj_" + T] = zerosLike(E.at(T));
+  Nat.addProc(*Grad);
+  Nat.runProc("grad_comp");
+  ASSERT_TRUE(Nat.isNative("grad_comp")) << Nat.fallbackReason("grad_comp");
+  for (const char *Var : {"adj_a", "adj_c"})
+    EXPECT_EQ(bitsOf(Nat.env().at(Var).asReal()),
+              bitsOf(Got.at(Var).asReal()))
+        << Var;
+  for (int64_t J = 0; J < 3; ++J)
+    EXPECT_EQ(bitsOf(Nat.env().at("adj_w").realVec().at(J)),
+              bitsOf(Got.at("adj_w").realVec().at(J)))
+        << "adj_w[" << J << "]";
 }
 
 TEST(ConjGibbsGen, ScalarNormalMeanPosteriorIsAnalytic) {
