@@ -6,6 +6,7 @@
 #include <cassert>
 #include <thread>
 
+#include "density/Forward.h"
 #include "support/Format.h"
 
 using namespace augur;
@@ -689,13 +690,39 @@ bool demoteOwnerIndexed(LStmt &L, const std::string &TopVar,
   return AllOwner;
 }
 
+/// Whether allocateVar can size the declared variable \p Name against
+/// \p E: it has scalar elements (no distribution argument, which may
+/// mention unbound parameters, is evaluated) and its comprehension
+/// bounds mention only bound names and enclosing indices.
+bool sizableFromDecl(const std::string &Name, const Env &E,
+                     const TypedModel &TM) {
+  const ModelDecl *D = TM.M.findDecl(Name);
+  if (!D)
+    return false;
+  const Type *Elem = &TM.typeOf(Name);
+  std::vector<std::string> Vars, Bound;
+  for (const auto &C : D->Comps) {
+    if (!Elem->isVec())
+      return false;
+    Elem = &Elem->elem();
+    C.Lo->collectVars(Vars);
+    C.Hi->collectVars(Vars);
+    Bound.push_back(C.Var);
+  }
+  for (const auto &V : Vars)
+    if (!E.count(V) && std::find(Bound.begin(), Bound.end(), V) == Bound.end())
+      return false;
+  return Elem->isScalar();
+}
+
 /// Flat location count of accumulation target \p Name: a bound global,
-/// an `adj_<v>` adjoint shaped like its global, a procedure-local stat
-/// buffer (declared before the loop), or an output scalar created on
-/// first assignment. Returns -1 when the size cannot be bounded.
+/// an `adj_<v>` adjoint shaped like its global (or, before \p v is
+/// bound, like its declaration in \p TM), a procedure-local stat buffer
+/// (declared before the loop), or an output scalar created on first
+/// assignment. Returns -1 when the size cannot be bounded.
 int64_t targetLocations(const std::string &Name, const Env &E,
                         const std::map<std::string, const LStmt *> &Decls,
-                        const LowppProc &P) {
+                        const LowppProc &P, const TypedModel *TM) {
   auto Size = [](const Value &V) -> int64_t {
     if (V.isIntScalar() || V.isRealScalar())
       return 1;
@@ -716,6 +743,13 @@ int64_t targetLocations(const std::string &Name, const Env &E,
     auto Base = E.find(Name.substr(4));
     if (Base != E.end())
       return Size(Base->second);
+    // Not bound yet: size it from its declaration, the paper's size
+    // inference (Section 5.2).
+    if (TM && sizableFromDecl(Name.substr(4), E, *TM))
+      if (Result<Value> V =
+              allocateVar(*TM->M.findDecl(Name.substr(4)), *TM, E);
+          V.ok())
+        return Size(*V);
   }
   auto D = Decls.find(Name);
   if (D != Decls.end()) {
@@ -772,7 +806,8 @@ bool commuteTopLoop(LStmt &S, const Env &E, const CpuReduceOptions &O) {
 } // namespace
 
 CpuReduceReport augur::planCpuReductions(LowppProc &P, const Env &E,
-                                         const CpuReduceOptions &O) {
+                                         const CpuReduceOptions &O,
+                                         const TypedModel *TM) {
   CpuReduceReport R;
   int64_t Width = O.EstimatorWidth > 0
                       ? O.EstimatorWidth
@@ -820,7 +855,7 @@ CpuReduceReport augur::planCpuReductions(LowppProc &P, const Env &E,
     std::map<std::string, std::pair<int64_t, int64_t>> Targets; // ops, locs
     bool Legal = true;
     for (const auto &A : Scan.Accums) {
-      int64_t Locs = targetLocations(A.Dest->Var, E, Decls, P);
+      int64_t Locs = targetLocations(A.Dest->Var, E, Decls, P, TM);
       if (Locs < 0) {
         Legal = false;
         break;

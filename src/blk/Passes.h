@@ -148,9 +148,14 @@ struct CpuReduceReport {
 ///    site and annotates converted loops (LStmt::Red / RedTargets) for
 ///    exec/Interp and cgen/CEmit to consume.
 ///
+/// An `adj_<v>` target whose \p v is not bound in \p E yet (HMC
+/// parameters are bound only at chain initialization) is sized from
+/// v's declaration in \p TM, when given.
+///
 /// Mutates \p P in place and returns the per-site decision report.
 CpuReduceReport planCpuReductions(LowppProc &P, const Env &E,
-                                  const CpuReduceOptions &O);
+                                  const CpuReduceOptions &O,
+                                  const TypedModel *TM = nullptr);
 
 } // namespace augur
 

@@ -116,125 +116,21 @@ static inline double augur_dirichlet_ll(const double *a, i64 n,
 }
 )c";
 
-/// The telemetry side of the emitted module: a fixed counter table
-/// mirroring the interpreter's parallel-loop occupancy profile, read
-/// back (and reset) by the host engine through the exported
-/// augur_get_profile. Slots: 0 par_loops, 1 par_iters, 2 par_chunks,
-/// 3 par_steals (always 0 — the shared-cursor pool has no steal
-/// distinction), 4 par_busy_nanos, 5 par_thread_nanos, 6 reduce
-/// regions dispatched, 7 reduce partial-buffer bytes. Emitted into
-/// every module so the host can query one uniform schema; a sequential
-/// module simply reports zeros.
-const char *ProfilePrelude = R"c(
-#include <time.h>
-static i64 augur_prof[8];
-static inline i64 augur_now_nanos(void) {
-  struct timespec augur_ts;
-  clock_gettime(CLOCK_MONOTONIC, &augur_ts);
-  return (i64)augur_ts.tv_sec * 1000000000 + (i64)augur_ts.tv_nsec;
-}
-void augur_get_profile(i64 *out) {
-  for (int i = 0; i < 8; ++i)
-    out[i] = __atomic_exchange_n(&augur_prof[i], 0, __ATOMIC_RELAXED);
-}
-)c";
-
-/// The pthread-backed pool linked into parallel modules: the C-side
-/// mirror of parallel/ThreadPool. Workers claim grain-sized chunks off
-/// an atomic cursor; the caller participates and then waits on the
-/// region's completion latch. augur_set_threads is exported so the host
-/// engine can size the pool after dlopen (before the first region).
-const char *ParallelPrelude = R"c(
-#include <pthread.h>
-typedef void (*augur_loop_fn)(void *env, i64 lo, i64 hi);
-static i64 augur_num_threads = 1;
-static i64 augur_grain = 16;
-static struct {
-  pthread_mutex_t m;
-  pthread_cond_t work_cv, done_cv;
-  i64 generation;   /* bumped per region to wake workers */
-  i64 active;       /* workers still draining the current region */
-  i64 started;      /* worker threads spawned */
-  augur_loop_fn fn;
-  void *env;
-  i64 hi, chunk;
-  i64 cursor;       /* next unclaimed index; __atomic advanced */
-} augur_pool = {PTHREAD_MUTEX_INITIALIZER, PTHREAD_COND_INITIALIZER,
-                PTHREAD_COND_INITIALIZER, 0, 0, 0, 0, 0, 0, 0, 0};
-static void augur_run_chunks(void) {
-  for (;;) {
-    i64 b = __atomic_fetch_add(&augur_pool.cursor, augur_pool.chunk,
-                               __ATOMIC_RELAXED);
-    if (b >= augur_pool.hi) return;
-    i64 e = b + augur_pool.chunk;
-    if (e > augur_pool.hi) e = augur_pool.hi;
-    i64 c0 = augur_now_nanos();
-    augur_pool.fn(augur_pool.env, b, e);
-    __atomic_fetch_add(&augur_prof[2], 1, __ATOMIC_RELAXED);
-    __atomic_fetch_add(&augur_prof[4], augur_now_nanos() - c0,
-                       __ATOMIC_RELAXED);
-  }
-}
-static void *augur_pool_worker(void *arg) {
-  i64 seen = 0;
-  (void)arg;
-  for (;;) {
-    pthread_mutex_lock(&augur_pool.m);
-    while (augur_pool.generation == seen)
-      pthread_cond_wait(&augur_pool.work_cv, &augur_pool.m);
-    seen = augur_pool.generation;
-    pthread_mutex_unlock(&augur_pool.m);
-    augur_run_chunks();
-    pthread_mutex_lock(&augur_pool.m);
-    if (--augur_pool.active == 0)
-      pthread_cond_signal(&augur_pool.done_cv);
-    pthread_mutex_unlock(&augur_pool.m);
-  }
-  return 0;
-}
-void augur_set_threads(i64 n, i64 grain) {
-  if (n >= 1) augur_num_threads = n;
-  if (grain >= 1) augur_grain = grain;
-}
-static void augur_parallel_for(i64 lo, i64 hi, augur_loop_fn fn, void *env) {
-  if (hi <= lo) return;
-  i64 t0 = augur_now_nanos();
-  __atomic_fetch_add(&augur_prof[0], 1, __ATOMIC_RELAXED);
-  __atomic_fetch_add(&augur_prof[1], hi - lo, __ATOMIC_RELAXED);
-  i64 want = augur_num_threads - 1;
-  if (want <= 0 || hi - lo <= augur_grain) {
-    fn(env, lo, hi);
-    i64 wall = augur_now_nanos() - t0;
-    __atomic_fetch_add(&augur_prof[2], 1, __ATOMIC_RELAXED);
-    __atomic_fetch_add(&augur_prof[4], wall, __ATOMIC_RELAXED);
-    __atomic_fetch_add(&augur_prof[5], wall, __ATOMIC_RELAXED);
-    return;
-  }
-  while (augur_pool.started < want) {
-    pthread_t t;
-    if (pthread_create(&t, 0, augur_pool_worker, 0) != 0) break;
-    pthread_detach(t);
-    ++augur_pool.started;
-  }
-  augur_pool.fn = fn;
-  augur_pool.env = env;
-  augur_pool.hi = hi;
-  augur_pool.chunk = augur_grain;
-  __atomic_store_n(&augur_pool.cursor, lo, __ATOMIC_RELEASE);
-  pthread_mutex_lock(&augur_pool.m);
-  augur_pool.active = augur_pool.started;
-  ++augur_pool.generation;
-  pthread_cond_broadcast(&augur_pool.work_cv);
-  pthread_mutex_unlock(&augur_pool.m);
-  augur_run_chunks(); /* caller participates */
-  pthread_mutex_lock(&augur_pool.m);
-  while (augur_pool.active != 0)
-    pthread_cond_wait(&augur_pool.done_cv, &augur_pool.m);
-  pthread_mutex_unlock(&augur_pool.m);
-  __atomic_fetch_add(&augur_prof[5],
-                     (augur_now_nanos() - t0) * (augur_pool.started + 1),
-                     __ATOMIC_RELAXED);
-}
+/// The host interface every emitted module is built against. The
+/// frame's first member points at the engine's host table; a pooled
+/// loop is outlined into a chunk function and handed to `run`, which
+/// executes its chunks on the engine's ThreadPool (cgen/Native.cpp).
+/// For a map-reduce loop `red` lists the privatized targets: the host
+/// gives every chunk one zeroed partial row per target and folds the
+/// rows into the targets after the join. Modules own no threads and
+/// keep no mutable statics.
+const char *HostPrelude = R"c(
+typedef struct { void *base; i64 len, is_int; } augur_red;
+typedef void (*augur_chunk_fn)(void *f, i64 lo, i64 hi, char *const *rows);
+typedef struct augur_host {
+  void (*run)(struct augur_host *h, void *f, i64 lo, i64 hi,
+              augur_chunk_fn fn, const augur_red *red, i64 n_red);
+} augur_host;
 static inline void augur_atomic_add_f64(double *p, double v) {
   unsigned long long *ip = (unsigned long long *)p;
   union { double d; unsigned long long u; } old, want;
@@ -247,66 +143,6 @@ static inline void augur_atomic_add_f64(double *p, double v) {
 static inline void augur_atomic_add_i64(i64 *p, i64 v) {
   __atomic_fetch_add(p, v, __ATOMIC_RELAXED);
 }
-#include <stdlib.h>
-/* Grow-only 64B-aligned scratch for map-reduce partial buffers. */
-static void *augur_red_grow(void **buf, i64 *cap, i64 need) {
-  if (*cap < need) {
-    free(*buf);
-    *buf = aligned_alloc(64, (size_t)need);
-    *cap = need;
-  }
-  return *buf;
-}
-/* Map-reduce dispatch: like augur_parallel_for but with an explicit
-   per-call grain, and the single-thread path still walks grain-sized
-   chunks — every partial row must be zeroed by the chunk that owns it,
-   so chunk boundaries are part of the result, not just a schedule. */
-static void augur_parallel_for_red(i64 lo, i64 hi, i64 grain,
-                                   augur_loop_fn fn, void *env) {
-  if (hi <= lo) return;
-  i64 t0 = augur_now_nanos();
-  __atomic_fetch_add(&augur_prof[0], 1, __ATOMIC_RELAXED);
-  __atomic_fetch_add(&augur_prof[1], hi - lo, __ATOMIC_RELAXED);
-  i64 want = augur_num_threads - 1;
-  if (want <= 0) {
-    for (i64 b = lo; b < hi; b += grain) {
-      i64 e = b + grain;
-      if (e > hi) e = hi;
-      i64 c0 = augur_now_nanos();
-      fn(env, b, e);
-      __atomic_fetch_add(&augur_prof[2], 1, __ATOMIC_RELAXED);
-      __atomic_fetch_add(&augur_prof[4], augur_now_nanos() - c0,
-                         __ATOMIC_RELAXED);
-    }
-    __atomic_fetch_add(&augur_prof[5], augur_now_nanos() - t0,
-                       __ATOMIC_RELAXED);
-    return;
-  }
-  while (augur_pool.started < want) {
-    pthread_t t;
-    if (pthread_create(&t, 0, augur_pool_worker, 0) != 0) break;
-    pthread_detach(t);
-    ++augur_pool.started;
-  }
-  augur_pool.fn = fn;
-  augur_pool.env = env;
-  augur_pool.hi = hi;
-  augur_pool.chunk = grain;
-  __atomic_store_n(&augur_pool.cursor, lo, __ATOMIC_RELEASE);
-  pthread_mutex_lock(&augur_pool.m);
-  augur_pool.active = augur_pool.started;
-  ++augur_pool.generation;
-  pthread_cond_broadcast(&augur_pool.work_cv);
-  pthread_mutex_unlock(&augur_pool.m);
-  augur_run_chunks(); /* caller participates */
-  pthread_mutex_lock(&augur_pool.m);
-  while (augur_pool.active != 0)
-    pthread_cond_wait(&augur_pool.done_cv, &augur_pool.m);
-  pthread_mutex_unlock(&augur_pool.m);
-  __atomic_fetch_add(&augur_prof[5],
-                     (augur_now_nanos() - t0) * (augur_pool.started + 1),
-                     __ATOMIC_RELAXED);
-}
 )c";
 
 struct VecRef {
@@ -317,7 +153,7 @@ struct VecRef {
 class CEmitter {
 public:
   CEmitter(const LowppProc &P, const Env &E, const CEmitOptions &Opts)
-      : P(P), E(&E), Parallel(Opts.NumThreads != 1), Simd(Opts.Simd) {}
+      : P(P), E(&E), Pooled(Opts.Pooled), Simd(Opts.Simd) {}
 
   Result<CModule> run() {
     AUGUR_RETURN_IF_ERROR(collectGlobals());
@@ -329,12 +165,9 @@ public:
     CModule M;
     M.ProcName = P.Name;
     M.Fields = Fields;
-    M.Parallel = Parallel;
     M.Source = RuntimePrelude;
-    M.Source += ProfilePrelude;
-    if (Parallel)
-      M.Source += ParallelPrelude;
-    M.Source += "\ntypedef struct {\n";
+    M.Source += HostPrelude;
+    M.Source += "\ntypedef struct {\n  augur_host *host;\n";
     for (const auto &F : Fields) {
       switch (F.K) {
       case FrameField::Kind::RealPtr:
@@ -668,15 +501,9 @@ private:
     case LStmt::Kind::Assign: {
       AUGUR_ASSIGN_OR_RETURN(std::string L, emitLValue(S.Dest));
       AUGUR_ASSIGN_OR_RETURN(std::string R, emitScalar(S.Rhs));
-      if (S.Accum && atomicCtx()) {
-        if (const RedRow *Row = redirectFor(S.Dest.Var))
-          return Pad + Row->Row + "[&(" + L + ") - (" + Row->Base +
-                 ")] += " + R + ";\n";
-        const char *Fn = lvalueIsInt(S.Dest) ? "augur_atomic_add_i64"
-                                             : "augur_atomic_add_f64";
-        return Pad + std::string(Fn) + "(&" + L + ", " + R + ");\n";
-      }
-      return Pad + L + (S.Accum ? " += " : " = ") + R + ";\n";
+      if (S.Accum)
+        return emitAccum(S.Dest, L, R, Pad);
+      return Pad + L + " = " + R + ";\n";
     }
     case LStmt::Kind::DeclLocal: {
       if (S.Dims.empty()) {
@@ -719,54 +546,12 @@ private:
       AUGUR_ASSIGN_OR_RETURN(std::string Lo, emitScalar(S.Lo));
       AUGUR_ASSIGN_OR_RETURN(std::string Hi, emitScalar(S.Hi));
       // Pooled emission: a Par/AtmPar loop whose body closes over
-      // nothing but the frame is outlined into a chunk function and
-      // dispatched through augur_parallel_for. Loops that reference
-      // enclosing locals/loop vars (or nest inside an outlined region)
-      // stay sequential for-loops inside their region.
-      if (Parallel && S.LK != LoopKind::Seq && !InOutlined &&
-          LoopVars.empty() && ScalarLocals.empty() && VecLocals.empty()) {
-        // Map-reduce emission (reduce pass annotation, DESIGN.md
-        // section 16) when every privatized target is a native global
-        // scalar or flat vector; otherwise fall back to the plain
-        // atomic outlining below — same samples, contended stores.
-        if (S.Red == ReduceKind::MapReduce && redTargetsEmittable(S))
-          return emitMapReduceLoop(S, Lo, Hi, Pad);
-        std::string FnName =
-            strFormat("%s_pbody%d", P.Name.c_str(), int(OutlinedFns.size()));
-        InOutlined = true;
-        if (S.LK == LoopKind::AtmPar)
-          ++AtmDepth;
-        LoopVars.insert(S.LoopVar);
-        LocalScope Scope(*this);
-        std::string Fn = "static void " + FnName +
-                         "(void *vf, i64 lo, i64 hi) {\n"
-                         "  augur_frame *f = (augur_frame *)vf;\n" +
-                         (Simd && S.LK == LoopKind::Par
-                              ? std::string("#pragma GCC ivdep\n")
-                              : std::string()) +
-                         "  for (i64 " +
-                         S.LoopVar + " = lo; " + S.LoopVar + " < hi; ++" +
-                         S.LoopVar + ") {" +
-                         strFormat(" /* %s */\n", loopKindName(S.LK));
-        Status BodyStatus = Status::success();
-        for (const auto &Sub : S.Body) {
-          Result<std::string> T = emitStmt(*Sub, 2);
-          if (!T.ok()) {
-            BodyStatus = T.status();
-            break;
-          }
-          Fn += T.value();
-        }
-        LoopVars.erase(S.LoopVar);
-        if (S.LK == LoopKind::AtmPar)
-          --AtmDepth;
-        InOutlined = false;
-        AUGUR_RETURN_IF_ERROR(BodyStatus);
-        Fn += "  }\n}\n\n";
-        OutlinedFns.push_back(Fn);
-        return Pad + "augur_parallel_for(" + Lo + ", " + Hi + ", " +
-               FnName + ", (void *)f);\n";
-      }
+      // nothing but the frame is outlined and run by the host. Loops
+      // that reference enclosing locals/loop vars (or nest inside an
+      // outlined region) stay sequential for-loops inside their region.
+      if (Pooled && S.LK != LoopKind::Seq && !InOutlined &&
+          LoopVars.empty() && ScalarLocals.empty() && VecLocals.empty())
+        return emitPooledLoop(S, Lo, Hi, Pad);
       if (S.LK == LoopKind::AtmPar)
         ++AtmDepth;
       LoopVars.insert(S.LoopVar);
@@ -791,13 +576,7 @@ private:
     case LStmt::Kind::AccumLL: {
       AUGUR_ASSIGN_OR_RETURN(std::string L, emitLValue(S.Dest));
       AUGUR_ASSIGN_OR_RETURN(std::string Call, emitDistCall("ll", S));
-      if (atomicCtx()) {
-        if (const RedRow *Row = redirectFor(S.Dest.Var))
-          return Pad + Row->Row + "[&(" + L + ") - (" + Row->Base +
-                 ")] += " + Call + ";\n";
-        return Pad + "augur_atomic_add_f64(&" + L + ", " + Call + ");\n";
-      }
-      return Pad + L + " += " + Call + ";\n";
+      return emitAccum(S.Dest, L, Call, Pad);
     }
     case LStmt::Kind::AccumGrad: {
       if (!distHasGrad(S.D, S.GradArg))
@@ -811,14 +590,7 @@ private:
             "vector-valued gradients are not native-emittable");
       AUGUR_ASSIGN_OR_RETURN(std::string Call,
                              emitDistCall(Op.c_str(), S));
-      if (atomicCtx()) {
-        if (const RedRow *Row = redirectFor(S.Dest.Var))
-          return Pad + Row->Row + "[&(" + L + ") - (" + Row->Base +
-                 ")] += (" + Adj + ") * " + Call + ";\n";
-        return Pad + "augur_atomic_add_f64(&" + L + ", (" + Adj + ") * " +
-               Call + ");\n";
-      }
-      return Pad + L + " += (" + Adj + ") * " + Call + ";\n";
+      return emitAccum(S.Dest, L, "(" + Adj + ") * " + Call, Pad);
     }
     case LStmt::Kind::Sample:
     case LStmt::Kind::SampleLogits:
@@ -832,9 +604,24 @@ private:
     return Status::error("unknown statement");
   }
 
-  /// True when an accumulation must be emitted as an atomic add: inside
-  /// an outlined chunk function, under at least one AtmPar loop.
-  bool atomicCtx() const { return InOutlined && AtmDepth > 0; }
+  /// Emits `L += R`. Inside a map-reduce chunk a privatized target
+  /// lands in the chunk's partial row, as in the interpreter. Inside an
+  /// outlined chunk under an AtmPar loop any other frame destination is
+  /// shared between lanes and takes an atomic add; a chunk-local
+  /// temporary has one writer and stays a plain add.
+  std::string emitAccum(const LValue &Dest, const std::string &L,
+                        const std::string &R, const std::string &Pad) const {
+    if (const RedRow *Row = redirectFor(Dest.Var))
+      return Pad + Row->Row + "[&(" + L + ") - (" + Row->Base + ")] += " +
+             R + ";\n";
+    bool Shared = InOutlined && AtmDepth > 0 &&
+                  !ScalarLocals.count(Dest.Var) && !VecLocals.count(Dest.Var);
+    if (!Shared)
+      return Pad + L + " += " + R + ";\n";
+    const char *Fn = lvalueIsInt(Dest) ? "augur_atomic_add_i64"
+                                       : "augur_atomic_add_f64";
+    return Pad + Fn + "(&" + L + ", " + R + ");\n";
+  }
 
   /// Active map-reduce redirect for an accumulation destination, or
   /// nullptr when the variable is not privatized in the current chunk
@@ -872,65 +659,45 @@ private:
     return true;
   }
 
-  /// Emits a MapReduce-annotated pooled loop (DESIGN.md section 16):
-  /// per-loop static scratch holds one 64B-padded partial row per
-  /// iteration block; the chunk function zeroes its row (first touch)
-  /// and accumulates into it via the redirect table; the call site
-  /// dispatches with grain == block through augur_parallel_for_red and
-  /// folds the rows pairwise in pinned order. Block geometry depends
-  /// only on the trip count, so the folded sums are bit-identical for
-  /// every pool width — and identical to the interpreter's.
-  Result<std::string> emitMapReduceLoop(const LStmt &S,
-                                        const std::string &Lo,
-                                        const std::string &Hi,
-                                        const std::string &Pad) {
-    struct Target {
-      std::string Name;
-      std::string Len;  ///< C expr for the flat element count
-      const char *Ty;   ///< element C type
-    };
-    std::vector<Target> Ts;
-    for (const auto &Name : S.RedTargets) {
-      const Global &G = Globals.at(Name);
-      bool IsInt =
-          G.K == GKind::IntScalar || G.K == GKind::IntVecFlat;
-      bool Scalar = G.K == GKind::IntScalar || G.K == GKind::RealScalar;
-      Ts.push_back({Name, Scalar ? "1" : "f->" + Name + "_len",
-                    IsInt ? "i64" : "double"});
+  /// Outlines a top-level pooled loop into a chunk function and emits
+  /// its dispatch through the host table. A MapReduce-annotated loop
+  /// whose targets are all frame scalars or flat vectors (DESIGN.md
+  /// section 16) passes them along: the chunk accumulates into the
+  /// partial rows the host hands it, and the host folds the rows in the
+  /// interpreter's pinned order, so both executors agree bit for bit at
+  /// every pool width. Other shared AtmPar accumulations stay atomic.
+  Result<std::string> emitPooledLoop(const LStmt &S, const std::string &Lo,
+                                     const std::string &Hi,
+                                     const std::string &Pad) {
+    std::vector<std::string> Targets;
+    if (S.Red == ReduceKind::MapReduce && redTargetsEmittable(S))
+      Targets = S.RedTargets;
+    std::string FnName =
+        strFormat("%s_chunk%d", P.Name.c_str(), int(OutlinedFns.size()));
+    std::string Fn = "static void " + FnName +
+                     "(void *vf, i64 lo, i64 hi, char *const *rows) {\n"
+                     "  augur_frame *f = (augur_frame *)vf;\n"
+                     "  (void)rows;\n";
+    std::string Red; // the call site's augur_red initializers
+    for (size_t J = 0; J < Targets.size(); ++J) {
+      const std::string &N = Targets[J];
+      GKind K = Globals.at(N).K;
+      bool IsInt = K == GKind::IntScalar || K == GKind::IntVecFlat;
+      bool Scalar = K == GKind::IntScalar || K == GKind::RealScalar;
+      const char *Ty = IsInt ? "i64" : "double";
+      std::string Row = strFormat("augur_row%zu", J);
+      Fn += strFormat("  %s *%s = (%s *)rows[%zu];\n", Ty, Row.c_str(), Ty,
+                      J);
+      RedirectRows[N] = {Row, "f->" + N};
+      Red += (J ? ", {f->" : "{f->") + N + ", " +
+             (Scalar ? std::string("1") : "f->" + N + "_len") +
+             (IsInt ? ", 1}" : ", 0}");
     }
-
-    int R = RedCount++;
-    std::string FnName = strFormat("%s_redbody%d", P.Name.c_str(), R);
-    // Per-loop statics: grow-only scratch plus the row stride, written
-    // by the call site and read by the chunk function.
-    std::string Pre =
-        strFormat("typedef struct { augur_frame *f; i64 lo, block; } "
-                  "augur_red%d_env;\n",
-                  R);
-    for (size_t J = 0; J < Ts.size(); ++J)
-      Pre += strFormat("static char *augur_red%d_t%zu; "
-                       "static i64 augur_red%d_t%zu_cap; "
-                       "static i64 augur_red%d_t%zu_s;\n",
-                       R, J, R, J, R, J);
-
-    std::string Fn =
-        "static void " + FnName +
-        "(void *ve, i64 lo, i64 hi) {\n" +
-        strFormat("  augur_red%d_env *e = (augur_red%d_env *)ve;\n", R,
-                  R) +
-        "  augur_frame *f = e->f;\n"
-        "  i64 augur_slot = (lo - e->lo) / e->block;\n";
-    for (size_t J = 0; J < Ts.size(); ++J) {
-      std::string Row = strFormat("augur_row%d_%zu", R, J);
-      Fn += strFormat("  %s *%s = (%s *)(augur_red%d_t%zu + augur_slot * "
-                      "augur_red%d_t%zu_s);\n",
-                      Ts[J].Ty, Row.c_str(), Ts[J].Ty, R, J, R, J);
-      Fn += "  for (i64 z_ = 0; z_ < " + Ts[J].Len + "; ++z_) " + Row +
-            "[z_] = 0;\n";
-      RedirectRows[Ts[J].Name] = {Row, "f->" + Ts[J].Name};
-    }
+    if (Simd && S.LK == LoopKind::Par && Targets.empty())
+      Fn += "#pragma GCC ivdep\n";
     Fn += "  for (i64 " + S.LoopVar + " = lo; " + S.LoopVar + " < hi; ++" +
-          S.LoopVar + ") { /* " + loopKindName(S.LK) + " map-reduce */\n";
+          S.LoopVar + ") { /* " + loopKindName(S.LK) +
+          (Targets.empty() ? "" : " map-reduce") + " */\n";
 
     InOutlined = true;
     if (S.LK == LoopKind::AtmPar)
@@ -954,68 +721,16 @@ private:
     InOutlined = false;
     RedirectRows.clear();
     AUGUR_RETURN_IF_ERROR(BodyStatus);
-    Fn += "  }\n}\n\n";
-    OutlinedFns.push_back(Pre + Fn);
+    OutlinedFns.push_back(Fn + "  }\n}\n\n");
 
-    // Call site: geometry, scratch sizing, dispatch, pinned fold.
-    std::string Out = Pad + "{ /* map-reduce region */\n";
-    std::string P1 = Pad + "  ", P2 = Pad + "    ";
-    Out += P1 + "i64 augur_rlo = " + Lo + ", augur_rhi = " + Hi + ";\n";
-    Out += P1 + "if (augur_rhi > augur_rlo) {\n";
-    Out += P2 + "i64 augur_rn = augur_rhi - augur_rlo;\n";
-    Out += P2 + strFormat("i64 augur_rblock = (augur_rn + %lldLL) / "
-                          "%lldLL;\n",
-                          (long long)(ReduceShards - 1),
-                          (long long)ReduceShards);
-    Out += P2 + "i64 augur_rnb = (augur_rn + augur_rblock - 1) / "
-                "augur_rblock;\n";
-    std::string BytesExpr;
-    for (size_t J = 0; J < Ts.size(); ++J) {
-      Out += P2 + strFormat("i64 augur_len%zu = ", J) + Ts[J].Len + ";\n";
-      Out += P2 + strFormat("augur_red%d_t%zu_s = ((augur_len%zu * 8 + "
-                            "63) / 64) * 64;\n",
-                            R, J, J);
-      Out += P2 + strFormat("augur_red_grow((void **)&augur_red%d_t%zu, "
-                            "&augur_red%d_t%zu_cap, augur_red%d_t%zu_s * "
-                            "augur_rnb);\n",
-                            R, J, R, J, R, J);
-      if (!BytesExpr.empty())
-        BytesExpr += " + ";
-      BytesExpr += strFormat("augur_red%d_t%zu_s * augur_rnb", R, J);
-    }
-    Out += P2 + strFormat("augur_red%d_env augur_re = {f, augur_rlo, "
-                          "augur_rblock};\n",
-                          R);
-    Out += P2 + "augur_parallel_for_red(augur_rlo, augur_rhi, "
-                "augur_rblock, " +
-           FnName + ", (void *)&augur_re);\n";
-    Out += P2 + "__atomic_fetch_add(&augur_prof[6], 1, "
-                "__ATOMIC_RELAXED);\n";
-    Out += P2 + "__atomic_fetch_add(&augur_prof[7], " + BytesExpr +
-           ", __ATOMIC_RELAXED);\n";
-    for (size_t J = 0; J < Ts.size(); ++J) {
-      Out += P2 + "for (i64 s_ = 1; s_ < augur_rnb; s_ *= 2)\n";
-      Out += P2 + "  for (i64 i_ = 0; i_ + s_ < augur_rnb; i_ += 2 * "
-                  "s_) {\n";
-      Out += P2 + strFormat("    %s *a_ = (%s *)(augur_red%d_t%zu + i_ * "
-                            "augur_red%d_t%zu_s);\n",
-                            Ts[J].Ty, Ts[J].Ty, R, J, R, J);
-      Out += P2 + strFormat("    %s *b_ = (%s *)(augur_red%d_t%zu + (i_ "
-                            "+ s_) * augur_red%d_t%zu_s);\n",
-                            Ts[J].Ty, Ts[J].Ty, R, J, R, J);
-      Out += P2 + strFormat("    for (i64 z_ = 0; z_ < augur_len%zu; "
-                            "++z_) a_[z_] += b_[z_];\n",
-                            J);
-      Out += P2 + "  }\n";
-      Out += P2 + strFormat("{ %s *r0_ = (%s *)augur_red%d_t%zu;\n",
-                            Ts[J].Ty, Ts[J].Ty, R, J);
-      Out += P2 + strFormat("  for (i64 z_ = 0; z_ < augur_len%zu; ++z_) "
-                            "f->%s[z_] += r0_[z_]; }\n",
-                            J, Ts[J].Name.c_str());
-    }
-    Out += P1 + "}\n";
-    Out += Pad + "}\n";
-    return Out;
+    std::string Run = "f->host->run(f->host, f, " + Lo + ", " + Hi + ", " +
+                      FnName;
+    if (Targets.empty())
+      return Pad + Run + ", 0, 0);\n";
+    return Pad + "{ /* map-reduce region */\n" + Pad +
+           "  const augur_red augur_red_[] = {" + Red + "};\n" + Pad + "  " +
+           Run + strFormat(", augur_red_, %zu);\n", Targets.size()) + Pad +
+           "}\n";
   }
 
   /// Whether an accumulation destination holds i64 (else double).
@@ -1055,7 +770,7 @@ private:
 
   const LowppProc &P;
   const Env *E;
-  bool Parallel;
+  bool Pooled;
   bool Simd;
   std::map<std::string, Global> Globals;
   std::vector<FrameField> Fields;
@@ -1067,7 +782,6 @@ private:
   bool InOutlined = false;
   int AtmDepth = 0;
   std::map<std::string, RedRow> RedirectRows; // active chunk fn only
-  int RedCount = 0;
 };
 
 } // namespace

@@ -9,7 +9,7 @@
 /// metadata, so the host engine can populate it from Values and call
 /// the compiled procedure through one fixed signature:
 ///
-///   void <proc>(augur_frame *f, augur_rng *rng);
+///   void <proc>(augur_frame *f);
 ///
 /// Statements that need the matrix runtime or library sampling
 /// (MvNormal/InvWishart operations, conjugate posterior draws) are not
@@ -43,24 +43,22 @@ struct FrameField {
   std::string CName;  ///< member name in the struct
 };
 
-/// An emitted C module.
+/// An emitted C module. The frame struct's first member is the host
+/// table pointer (`augur_host *host`), followed by \c Fields.
 struct CModule {
   std::string ProcName;
   std::string Source;
   std::vector<FrameField> Fields;
-  bool Parallel = false; ///< module carries the pthread pool runtime
 };
 
-/// Parallel emission options. The default (NumThreads == 1) emits the
-/// plain sequential module. With NumThreads != 1 the module carries a
-/// persistent pthread pool; top-level Par/AtmPar loops are outlined
-/// into chunk functions dispatched through augur_parallel_for, and
-/// AtmPar accumulations become atomic adds. The emitted module exports
-/// `void augur_set_threads(i64 n, i64 grain)` so the host can size the
-/// pool after dlopen (NumThreads here only selects the code shape).
+/// Emission options. By default every loop is a plain sequential
+/// loop. With Pooled set, top-level Par/AtmPar loops are outlined into
+/// chunk functions that the host runs on its pool through the frame's
+/// host table, map-reduce loops hand the host their privatized targets,
+/// and the remaining shared AtmPar accumulations become atomic adds.
+/// The module itself owns no threads.
 struct CEmitOptions {
-  int NumThreads = 1;
-  int64_t Grain = 16;
+  bool Pooled = false;
   /// Annotate Par loop bodies for host-compiler vectorization
   /// (`#pragma GCC ivdep` — Par loops are independent across
   /// iterations by construction, so the no-alias promise is sound).

@@ -13,6 +13,7 @@
 #include <sstream>
 #include <unistd.h>
 
+#include "exec/ExecError.h"
 #include "math/Simd.h"
 #include "robust/FaultInject.h"
 #include "support/Format.h"
@@ -181,10 +182,8 @@ NativeImageCache::Image buildImage(const std::string &CcCmd,
 
 /// Loads a private instance of \p Img: writes it to a fresh file,
 /// dlopens that and unlinks it. Distinct files make distinct module
-/// instances, so engines never share module statics. Returns null with
-/// \p Reason set on failure.
-void *loadImage(const std::string &Img, int ExtraFlags,
-                std::string &Reason) {
+/// instances. Returns null with \p Reason set on failure.
+void *loadImage(const std::string &Img, std::string &Reason) {
   char Path[] = "/tmp/augur_image_XXXXXX";
   int Fd = mkstemp(Path);
   if (Fd < 0) {
@@ -202,7 +201,7 @@ void *loadImage(const std::string &Img, int ExtraFlags,
   void *H = nullptr;
   if (Off != Img.size())
     Reason = "writing the native image failed";
-  else if (!(H = dlopen(Path, RTLD_NOW | RTLD_LOCAL | ExtraFlags)))
+  else if (!(H = dlopen(Path, RTLD_NOW | RTLD_LOCAL)))
     Reason = strFormat("dlopen failed: %s", dlerror());
   ::unlink(Path);
   return H;
@@ -256,8 +255,7 @@ NativeEngine::getOrCompile(const std::string &Name) {
   }
 
   CEmitOptions EmitOpts;
-  EmitOpts.NumThreads = Par.NumThreads == 1 ? 1 : Par.resolvedThreads();
-  EmitOpts.Grain = Par.Grain;
+  EmitOpts.Pooled = Pool != nullptr;
   EmitOpts.Simd = simdEnabled();
   Result<CModule> Mod = emitC(proc(Name), env(), EmitOpts);
   if (!Mod.ok()) {
@@ -276,8 +274,8 @@ NativeEngine::getOrCompile(const std::string &Name) {
     if (simd::cpuHasAvx2())
       Flags += " -mavx2";
   }
-  if (Mod->Parallel)
-    Flags += " -pthread -fno-strict-aliasing";
+  if (EmitOpts.Pooled)
+    Flags += " -fno-strict-aliasing"; // the atomic adds type-pun doubles
 
   bool Hit = false;
   NativeImageCache::Image Img = NativeImageCache::global().getOrBuild(
@@ -290,10 +288,7 @@ NativeEngine::getOrCompile(const std::string &Name) {
   if (!Img)
     return Compiled.emplace(Name, std::move(NP)).first->second;
 
-  // A parallel module spawns detached pool workers whose code lives in
-  // the module; RTLD_NODELETE keeps it mapped after dlclose so a worker
-  // parked in pthread_cond_wait never resumes into unmapped memory.
-  NP.Handle = loadImage(*Img, Mod->Parallel ? RTLD_NODELETE : 0, NP.Reason);
+  NP.Handle = loadImage(*Img, NP.Reason);
   if (!NP.Handle)
     return Compiled.emplace(Name, std::move(NP)).first->second;
   NP.Entry = reinterpret_cast<NativeProc::FnTy>(
@@ -303,15 +298,6 @@ NativeEngine::getOrCompile(const std::string &Name) {
     dlclose(NP.Handle);
     NP.Handle = nullptr;
   }
-  if (NP.Handle && Mod->Parallel) {
-    using SetThreadsTy = void (*)(int64_t, int64_t);
-    if (auto *Set = reinterpret_cast<SetThreadsTy>(
-            dlsym(NP.Handle, "augur_set_threads")))
-      Set(Par.resolvedThreads(), Par.Grain);
-  }
-  if (NP.Handle)
-    NP.Profile = reinterpret_cast<NativeProc::ProfFnTy>(
-        dlsym(NP.Handle, "augur_get_profile"));
   NP.Fields = Mod->Fields;
   return Compiled.emplace(Name, std::move(NP)).first->second;
 }
@@ -323,6 +309,8 @@ void NativeEngine::buildFrame(const NativeProc &NP, std::vector<char> &Buf) {
     Buf.resize(Off + N);
     std::memcpy(Buf.data() + Off, P, N);
   };
+  HostTable *H = &Host;
+  Push(&H, sizeof(H));
   for (const auto &F : NP.Fields) {
     Value &V = env()[F.Var];
     switch (F.K) {
@@ -360,6 +348,98 @@ void NativeEngine::buildFrame(const NativeProc &NP, std::vector<char> &Buf) {
   }
 }
 
+void NativeEngine::AlignedFree::operator()(char *P) const {
+  ::operator delete[](P, std::align_val_t(64));
+}
+
+void NativeEngine::hostRun(HostTable *H, void *Frame, int64_t Lo,
+                           int64_t Hi, ChunkFn Fn, const RedTarget *Targets,
+                           int64_t NumTargets) noexcept {
+  NativeEngine &E = *H->Eng;
+  if (E.ChunkError)
+    return;
+  try {
+    E.runChunks(Frame, Lo, Hi, Fn, Targets, NumTargets);
+  } catch (...) {
+    E.ChunkError = std::current_exception();
+  }
+}
+
+void NativeEngine::runChunks(void *Frame, int64_t Lo, int64_t Hi,
+                             ChunkFn Fn, const RedTarget *Targets,
+                             int64_t NumTargets) {
+  if (Hi <= Lo)
+    return;
+  // Map-reduce geometry, as Interp::execMapReduceLoop: Block depends
+  // only on the trip count, one 64B-padded partial row per block and
+  // target, so the slot each iteration writes and the fold order are
+  // pinned for every pool width.
+  auto StrideOf = [](const RedTarget &T) { return (T.Len + 7) / 8 * 8; };
+  int64_t N = Hi - Lo;
+  int64_t Block = Grain, NB = 0;
+  uint64_t RegionBytes = 0;
+  if (NumTargets > 0) {
+    Block = (N + ReduceShards - 1) / ReduceShards;
+    NB = (N + Block - 1) / Block;
+    for (int64_t J = 0; J < NumTargets; ++J)
+      RegionBytes += uint64_t(StrideOf(Targets[J]) * 8 * NB);
+    if (PartialsCap < int64_t(RegionBytes)) {
+      Partials.reset(static_cast<char *>(
+          ::operator new[](RegionBytes, std::align_val_t(64))));
+      PartialsCap = int64_t(RegionBytes);
+    }
+    BlockRows.resize(size_t(NB * NumTargets));
+    char *Row = Partials.get();
+    for (int64_t J = 0; J < NumTargets; ++J)
+      for (int64_t B = 0; B < NB; ++B, Row += StrideOf(Targets[J]) * 8)
+        BlockRows[size_t(B * NumTargets + J)] = Row;
+  }
+
+  auto Chunk = [&](int64_t B, int64_t E, int) {
+    // Fault-injection probe, as on the interpreter's pooled loops.
+    if (robust::faultFire(robust::FaultClass::WorkerFault))
+      throw ExecError("NativeLoop", "chunk",
+                      "fault-injected worker-thread failure");
+    char *const *Rows = nullptr;
+    if (NumTargets > 0) {
+      // One chunk is one block; its owning lane zeroes the rows.
+      Rows = &BlockRows[size_t((B - Lo) / Block * NumTargets)];
+      for (int64_t J = 0; J < NumTargets; ++J)
+        std::memset(Rows[J], 0, size_t(Targets[J].Len * 8));
+    }
+    Fn(Frame, B, E, Rows);
+  };
+  ParForStats St = Pool->parallelFor(Lo, Hi, Block, Chunk);
+
+  // The interpreter's pinned pairwise fold, then one deposit.
+  for (int64_t J = 0; J < NumTargets; ++J) {
+    const RedTarget &T = Targets[J];
+    int64_t Stride = StrideOf(T);
+    if (T.IsInt)
+      foldPartials(reinterpret_cast<int64_t *>(BlockRows[size_t(J)]), NB,
+                   Stride, T.Len, static_cast<int64_t *>(T.Base));
+    else
+      foldPartials(reinterpret_cast<double *>(BlockRows[size_t(J)]), NB,
+                   Stride, T.Len, static_cast<double *>(T.Base));
+  }
+
+  Recorder *T = telemetry();
+  if (T && T->enabled()) {
+    const ExecTelemetryKeys &K = telemetryKeys();
+    T->count(K.Loops);
+    T->count(K.Iters, uint64_t(N));
+    T->count(K.Chunks, St.Chunks);
+    T->count(K.Steals, St.Steals);
+    T->count(K.Busy, St.BusyNanos);
+    T->count(K.Thread,
+             St.WallNanos * uint64_t(St.Inline ? 1 : Pool->numThreads()));
+    if (NumTargets > 0) {
+      T->count(K.ReduceRegions);
+      T->count(K.ReduceBytes, RegionBytes);
+    }
+  }
+}
+
 void NativeEngine::runProc(const std::string &Name) {
   NativeProc &NP = getOrCompile(Name);
   if (!NP.Entry) {
@@ -369,32 +449,18 @@ void NativeEngine::runProc(const std::string &Name) {
   std::vector<char> Frame;
   buildFrame(NP, Frame);
   NP.Entry(Frame.data());
+  if (ChunkError)
+    std::rethrow_exception(std::exchange(ChunkError, nullptr));
 
-  // Fold the module's occupancy profile into the attached recorder
-  // under the same keys the interpreter records, so a native run
-  // exports the exact interpreter schema. Only nonzero slots are
-  // folded: a sequential module reports zeros, matching the
-  // interpreter's silence for sequential execution.
-  Recorder *T = telemetry();
   // A natively-executed proc under an armed SIMD policy is the native
   // backend's vector path (ivdep-annotated, host-vectorized module);
   // record the same three vec_* keys the interpreter engine exports so
   // both backends keep an identical metric schema.
+  Recorder *T = telemetry();
   if (simdEnabled() && T && T->enabled()) {
     const ExecTelemetryKeys &K = telemetryKeys();
     T->count(K.VecRuns, 1);
     T->count(K.VecFallback, 0);
     T->count(K.VecAlias, 0);
-  }
-  if (NP.Profile && T && T->enabled()) {
-    long long Prof[8] = {0, 0, 0, 0, 0, 0, 0, 0};
-    NP.Profile(Prof);
-    const ExecTelemetryKeys &K = telemetryKeys();
-    const std::string *Keys[8] = {&K.Loops,  &K.Iters, &K.Chunks,
-                                  &K.Steals, &K.Busy,  &K.Thread,
-                                  &K.ReduceRegions, &K.ReduceBytes};
-    for (int I = 0; I < 8; ++I)
-      if (Prof[I] > 0)
-        T->count(*Keys[I], uint64_t(Prof[I]));
   }
 }

@@ -9,11 +9,14 @@
 /// interpreter, which keeps the hot likelihood/gradient primitives
 /// native while library sampling stays in the engine.
 ///
+/// Emitted modules own no threads: a pooled loop is outlined into a
+/// chunk function that the engine runs on its ThreadPool through the
+/// host table every frame points at, with the interpreter's block
+/// geometry and pinned fold for map-reduce loops.
+///
 /// Each distinct module is built once per process: the built image is
 /// kept in NativeImageCache, keyed by compiler, flags and source, and
-/// every engine loads its own instance of it, so module statics (the
-/// profile table, reduction scratch, the pthread pool of a parallel
-/// module) are never shared between engines.
+/// every engine loads its own instance of it.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -21,6 +24,7 @@
 #define AUGUR_CGEN_NATIVE_H
 
 #include <condition_variable>
+#include <exception>
 #include <functional>
 #include <list>
 #include <map>
@@ -112,13 +116,16 @@ public:
 
   void runProc(const std::string &Name) override;
 
-  /// Parallel mode: the interpreter (fallback path) runs pooled loops
-  /// on \p Pool, and subsequently compiled modules carry the pthread
-  /// pool runtime sized to the config. Must be set before the first
-  /// runProc (already-compiled sequential modules are not recompiled).
-  void setParallel(ThreadPool *Pool, const ParallelConfig &Cfg) override {
-    InterpEngine::setParallel(Pool, Cfg);
-    Par = Cfg;
+  /// Parallel mode: pooled loops run on \p P, in the interpreter
+  /// (fallback path) and in modules compiled after this call, which are
+  /// emitted pooled. Must first be set before the first runProc
+  /// (already-compiled sequential modules are not recompiled); setting
+  /// it again swaps the pool, as a forked worker must, and must not
+  /// detach it.
+  void setParallel(ThreadPool *P, const ParallelConfig &Cfg) override {
+    InterpEngine::setParallel(P, Cfg);
+    Pool = P;
+    Grain = Cfg.Grain;
   }
 
   /// True if \p Name executed natively on its last run.
@@ -133,22 +140,58 @@ public:
 private:
   struct NativeProc {
     using FnTy = void (*)(void *);
-    /// Reads and resets the module's augur_prof table (6 slots; see
-    /// cgen/CEmit.cpp ProfilePrelude for the layout).
-    using ProfFnTy = void (*)(long long *);
     FnTy Entry = nullptr;
-    ProfFnTy Profile = nullptr;
     std::vector<FrameField> Fields;
     void *Handle = nullptr;
     std::string Reason; ///< fallback reason if Entry is null
   };
 
+  /// The C side of the host table (`augur_red`, `augur_chunk_fn` and
+  /// `augur_host` in the emitted prelude, cgen/CEmit.cpp).
+  struct RedTarget {
+    void *Base;
+    int64_t Len; ///< flat scalar count
+    int64_t IsInt;
+  };
+  using ChunkFn = void (*)(void *Frame, int64_t Lo, int64_t Hi,
+                           char *const *Rows);
+  /// Layout-compatible with `augur_host`, whose one member is Run; the
+  /// engine pointer rides behind it.
+  struct HostTable {
+    void (*Run)(HostTable *H, void *Frame, int64_t Lo, int64_t Hi,
+                ChunkFn Fn, const RedTarget *Targets, int64_t NumTargets);
+    NativeEngine *Eng;
+  };
+  struct AlignedFree {
+    void operator()(char *P) const;
+  };
+
   NativeProc &getOrCompile(const std::string &Name);
   void buildFrame(const NativeProc &NP, std::vector<char> &Buf);
+  /// The host table's entry. Exceptions must not unwind through the
+  /// module's C frames: the first one is parked in ChunkError, later
+  /// loops of the same call are skipped, and runProc rethrows it once
+  /// the entry has returned.
+  static void hostRun(HostTable *H, void *Frame, int64_t Lo, int64_t Hi,
+                      ChunkFn Fn, const RedTarget *Targets,
+                      int64_t NumTargets) noexcept;
+  /// Runs one outlined loop on Pool, recording the interpreter's par_*
+  /// and reduce_* telemetry (Interp::execParallelLoop and
+  /// execMapReduceLoop).
+  void runChunks(void *Frame, int64_t Lo, int64_t Hi, ChunkFn Fn,
+                 const RedTarget *Targets, int64_t NumTargets);
 
   std::string Cc;
-  ParallelConfig Par;
+  ThreadPool *Pool = nullptr;
+  int64_t Grain = 16;
   std::map<std::string, NativeProc> Compiled;
+  HostTable Host{&hostRun, this};
+  std::exception_ptr ChunkError;
+  /// Map-reduce partial rows: one 64B-padded row per block and target,
+  /// grow-only across regions.
+  std::unique_ptr<char[], AlignedFree> Partials;
+  int64_t PartialsCap = 0;
+  std::vector<char *> BlockRows; ///< row pointers, NumTargets per block
 };
 
 } // namespace augur

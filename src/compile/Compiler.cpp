@@ -469,7 +469,8 @@ Compiler::compile(const std::string &ModelSrc, const CompileOptions &Opts,
     CpuReduceOptions RO;
     RO.Mode = Resolved.Reduce;
     CpuReduceReport RR =
-        static_cast<InterpEngine *>(Prog->Eng.get())->planReductions(RO);
+        static_cast<InterpEngine *>(Prog->Eng.get())
+            ->planReductions(RO, &Prog->DM.TM);
     if (Rec.enabled()) {
       Rec.span("compile/reduce", "compile", PhaseT0, Recorder::nowNanos(),
                {{"mapreduce", double(RR.MapReduceSites)},

@@ -59,12 +59,13 @@ void InterpEngine::addProc(LowppProc P) {
   Procs[P.Name] = std::move(P);
 }
 
-CpuReduceReport InterpEngine::planReductions(const CpuReduceOptions &O) {
+CpuReduceReport InterpEngine::planReductions(const CpuReduceOptions &O,
+                                             const TypedModel *TM) {
   // The pass rewrites loop annotations (and may commute nests): plans
   // compiled from the old procedure bodies are stale.
   Plans.clear();
   CpuReduceReport R;
   for (auto &[Name, P] : Procs)
-    R.merge(planCpuReductions(P, Globals, O));
+    R.merge(planCpuReductions(P, Globals, O, TM));
   return R;
 }

@@ -102,8 +102,10 @@ public:
   /// current environment. Call once after data binding and procedure
   /// registration: the pass evaluates loop extents at their runtime
   /// values. The native engine compiles modules lazily, so annotations
-  /// placed here are visible to the C emitter as well.
-  CpuReduceReport planReductions(const CpuReduceOptions &O);
+  /// placed here are visible to the C emitter as well. \p TM sizes the
+  /// adjoints of parameters not bound yet (planCpuReductions).
+  CpuReduceReport planReductions(const CpuReduceOptions &O,
+                                 const TypedModel *TM = nullptr);
 
   const LowppProc &proc(const std::string &Name) const {
     return Procs.at(Name);

@@ -62,8 +62,9 @@ struct alignas(64) ExecCounters {
 
 /// Prebuilt metric keys for the parallel-loop occupancy profile, so the
 /// pooled-loop epilogue records without per-region string allocation.
-/// The same key names are folded from the emitted-C `augur_prof` table
-/// (cgen/Native.cpp), keeping the two backends' schemas identical.
+/// The native engine's host dispatch of emitted-C pooled loops records
+/// the same keys (cgen/Native.cpp), keeping the two backends' schemas
+/// identical.
 struct ExecTelemetryKeys {
   std::string Loops;   ///< "<prefix>par_loops"
   std::string Iters;   ///< "<prefix>par_iters"

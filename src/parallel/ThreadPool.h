@@ -4,9 +4,10 @@
 /// The parallel CPU runtime: a work-stealing fork-join thread pool with
 /// a chunked parallelFor primitive. This is what actually executes the
 /// data-parallelism the Low++ IL exposes (paper Section 4.3): the
-/// interpreter maps `Par`/`AtmPar` loops onto parallelFor, the native C
-/// backend links an equivalent pthread pool into the emitted module,
-/// and the multi-chain runner schedules whole chains over it.
+/// interpreter maps `Par`/`AtmPar` loops onto parallelFor, the native
+/// engine runs the chunk functions of emitted C on it (the modules own
+/// no threads), and the multi-chain runner schedules whole chains over
+/// it.
 ///
 /// Scheduling: parallelFor splits [Lo, Hi) into grain-sized chunks and
 /// deals them round-robin onto per-worker deques. Each worker drains

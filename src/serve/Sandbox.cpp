@@ -400,6 +400,13 @@ void installRlimits(const SandboxOptions &SO) {
   // unnecessary here).
   Recorder::global().disableInForkedChild();
   ThreadPool::resetAfterFork();
+  // The engine still points at the daemon's pool, whose lanes fork()
+  // did not carry over: pooled loops, interpreted or native, must run
+  // on a pool built in this process.
+  const CompileOptions &CO = M.Prog->options();
+  if (CO.Tgt == CompileOptions::Target::Cpu && CO.Par.NumThreads != 1)
+    M.Prog->engine().setParallel(
+        &ThreadPool::global(CO.Par.resolvedThreads()), CO.Par);
   NativeImageCache::global().reinitAfterFork();
   robust::FaultInjector::global().reinitAfterFork();
   // The daemon's signal dispositions are not this process's business.

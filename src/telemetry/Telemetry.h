@@ -6,8 +6,8 @@
 /// (frontend → Density IL → Kernel IL → Low++ → cgen), per-update MCMC
 /// statistics (wall time, acceptance, slice shrinks, divergences,
 /// gradient norms, per-sweep log-joint), and execution-engine counters
-/// (parallel-loop occupancy from both the interpreter and the emitted-C
-/// `augur_prof` table), so a composed kernel `k1 (*) k2` can be
+/// (parallel-loop occupancy of interpreted and emitted-C pooled loops,
+/// both run on the host pool), so a composed kernel `k1 (*) k2` can be
 /// debugged per sub-procedure (see DESIGN.md "Telemetry").
 ///
 /// Design: a Recorder holds named monotonic counters, summary

@@ -15,6 +15,7 @@
 #include <cstring>
 #include <dirent.h>
 #include <filesystem>
+#include <fstream>
 #include <mutex>
 #include <set>
 #include <sys/wait.h>
@@ -380,11 +381,83 @@ TEST(NativeImageCacheTest, FourChainsBuildOnlyInTheFirstChain) {
   EXPECT_GT(Hits4, Hits1);
 }
 
+namespace {
+
+/// OS threads of this process.
+int64_t liveThreads() {
+  int64_t N = 0;
+  if (DIR *D = opendir("/proc/self/task")) {
+    while (dirent *E = readdir(D))
+      N += E->d_name[0] != '.';
+    closedir(D);
+  }
+  return N;
+}
+
+/// Mappings of loaded native images in this process.
+int64_t imageMappings() {
+  std::ifstream Maps("/proc/self/maps");
+  int64_t N = 0;
+  for (std::string Line; std::getline(Maps, Line);)
+    N += Line.find("augur_image") != std::string::npos;
+  return N;
+}
+
+} // namespace
+
+TEST(NativeEngineTest, PooledCyclesLeaveThreadsAndImageMappingsFlat) {
+  // Emitted modules own no threads, and a destroyed program unmaps its
+  // images, so compiling, sampling and destroying a pooled native
+  // program over and over leaves both counts where the first cycle
+  // (which builds the image and the process-wide pool) left them.
+  const int64_t N = 64, Kf = 3;
+  RNG DataRng(9);
+  BlockedReal X = BlockedReal::rect(N, Kf, 0.0);
+  BlockedInt Y = BlockedInt::flat(N, 0);
+  for (int64_t I = 0; I < N; ++I) {
+    for (int64_t J = 0; J < Kf; ++J)
+      X.at(I, J) = DataRng.gauss();
+    Y.at(I) = DataRng.uniform() < 0.5 ? 1 : 0;
+  }
+  Env Data;
+  Data["y"] = Value::intVec(std::move(Y));
+  std::vector<Value> Args = {
+      Value::realScalar(1.0), Value::intScalar(N), Value::intScalar(Kf),
+      Value::realVec(X, Type::vec(Type::vec(Type::realTy())))};
+  auto Cycle = [&] {
+    Infer Aug(models::HLR);
+    CompileOptions O;
+    O.Seed = 0x1EA4;
+    O.NativeCpu = true;
+    O.Par.NumThreads = 2;
+    O.Hmc.StepSize = 0.02;
+    O.Hmc.LeapfrogSteps = 4;
+    Aug.setCompileOpt(O);
+    ASSERT_TRUE(Aug.compile(Args, Data).ok());
+    ASSERT_TRUE(Aug.sample(2).ok());
+    auto *NE = dynamic_cast<NativeEngine *>(&Aug.program().engine());
+    ASSERT_NE(NE, nullptr);
+    for (const auto &CU : Aug.program().updates()) {
+      if (!CU.GradProc.empty()) {
+        ASSERT_TRUE(NE->isNative(CU.GradProc))
+            << NE->fallbackReason(CU.GradProc);
+      }
+    }
+  };
+  Cycle();
+  int64_t Threads0 = liveThreads(), Maps0 = imageMappings();
+  EXPECT_EQ(Maps0, 0);
+  for (int I = 1; I < 50; ++I)
+    Cycle();
+  EXPECT_EQ(liveThreads(), Threads0);
+  EXPECT_EQ(imageMappings(), Maps0);
+}
+
 TEST(ParallelNativeImage, EnginesFromOneImageRunConcurrently) {
-  // Two engines loaded from one cached image of a pooled module each get
-  // their own module instance (pthread pool, reduction scratch, profile
-  // table), so running them concurrently matches a serial run bit for
-  // bit. The map-reduce plan makes the pooled sum width-invariant.
+  // Two engines loaded from one cached image of a pooled module run
+  // concurrently on one shared pool (the loser of a region runs it
+  // inline) and match a serial run bit for bit: the map-reduce plan
+  // makes the pooled sum width-invariant.
   DensityModel DM = loadModel(models::HLR, hlrTypes());
   LowppProc LL = genLikelihoodProc("llp_mr", DM.Joint.Factors, "ll_llp_mr");
   Recorder &R = enabledGlobalRecorder();

@@ -489,20 +489,21 @@ TEST(ParallelNative, EmittedSourceContainsPoolRuntime) {
   E["x"] = Value::realVec(std::move(X), Type::vec(Type::vec(Type::realTy())));
   ASSERT_TRUE(forwardSampleModel(DM, E, Rng, true).ok());
 
+  // Pooled loops are outlined and dispatched through the frame's host
+  // table; the module itself owns no threads.
   CEmitOptions Opts;
-  Opts.NumThreads = 4;
+  Opts.Pooled = true;
   auto Mod = emitC(LL, E, Opts);
   ASSERT_TRUE(Mod.ok()) << Mod.message();
-  EXPECT_TRUE(Mod->Parallel);
-  EXPECT_NE(Mod->Source.find("augur_parallel_for"), std::string::npos);
-  EXPECT_NE(Mod->Source.find("augur_atomic_add_f64"), std::string::npos);
-  EXPECT_NE(Mod->Source.find("augur_set_threads"), std::string::npos);
+  EXPECT_NE(Mod->Source.find("f->host->run(f->host, f, "), std::string::npos);
+  EXPECT_NE(Mod->Source.find("augur_atomic_add_f64(&"), std::string::npos);
+  EXPECT_EQ(Mod->Source.find("pthread"), std::string::npos);
 
-  // The default (sequential) emission carries none of the pool runtime.
+  // The default (sequential) emission dispatches nothing to the host.
   auto SeqMod = emitC(LL, E);
   ASSERT_TRUE(SeqMod.ok()) << SeqMod.message();
-  EXPECT_FALSE(SeqMod->Parallel);
-  EXPECT_EQ(SeqMod->Source.find("augur_parallel_for"), std::string::npos);
+  EXPECT_EQ(SeqMod->Source.find("f->host->run"), std::string::npos);
+  EXPECT_EQ(SeqMod->Source.find("pthread"), std::string::npos);
 }
 
 TEST(ParallelNative, CompiledLikelihoodMatchesInterpreter) {
@@ -531,7 +532,7 @@ TEST(ParallelNative, CompiledLikelihoodMatchesInterpreter) {
   Ref.runProc("llp_0");
   double Want = Ref.env().at("ll_llp_0").asReal();
 
-  // Native engine with the pthread pool linked into the emitted module.
+  // Native engine running the emitted module's pooled loops on the pool.
   NativeEngine Nat(42);
   ParallelConfig PC;
   PC.NumThreads = 4;

@@ -4,8 +4,9 @@
 // the compile-time estimator (blk/Passes.h shouldMapReduce), the
 // planning pass (planCpuReductions: commute, owner-indexed demotion,
 // atomic-vs-map-reduce decision), the interpreter's privatized
-// execution (exec/Interp.h execMapReduceLoop), the emitted-C runtime
-// (augur_parallel_for_red), and the chain-level policy plumbing
+// execution (exec/Interp.h execMapReduceLoop), emitted-C map-reduce
+// chunks run by the native engine's host dispatch, and the chain-level
+// policy plumbing
 // (CompileOptions::Reduce / AUGUR_REDUCE).
 //
 // Every suite here is named "Reduce*" so the tests/CMakeLists.txt
@@ -555,22 +556,25 @@ TEST(ReduceNative, EmittedSourceCarriesReduceRuntime) {
   ASSERT_EQ(planCpuReductions(P, E, O).MapReduceSites, 1);
 
   CEmitOptions Opts;
-  Opts.NumThreads = 4;
+  Opts.Pooled = true;
   auto Mod = emitC(P, E, Opts);
   ASSERT_TRUE(Mod.ok()) << Mod.message();
-  EXPECT_TRUE(Mod->Parallel);
-  EXPECT_NE(Mod->Source.find("augur_parallel_for_red"), std::string::npos);
-  EXPECT_NE(Mod->Source.find("augur_red_grow"), std::string::npos);
-  // The privatized site carries no atomic on the hot path.
+  // The region hands its target to the host, which owns the partial
+  // rows, the block geometry and the fold; the chunk accumulates into
+  // its row with no atomic on the hot path.
   EXPECT_NE(Mod->Source.find("map-reduce region"), std::string::npos);
+  EXPECT_NE(Mod->Source.find("augur_red_, 1);"), std::string::npos);
+  EXPECT_NE(Mod->Source.find("augur_row0["), std::string::npos);
+  EXPECT_EQ(Mod->Source.find("augur_atomic_add_f64(&"), std::string::npos);
 
-  // An unannotated emission keeps the legacy atomic path: the parallel
-  // prelude (helper definitions) is shared, but no privatized region
-  // is instantiated.
+  // An unannotated emission keeps the atomic path: the prelude is
+  // shared, but no privatized region is instantiated.
   LowppProc Plain = sumSquaresProc();
   auto PlainMod = emitC(Plain, E, Opts);
   ASSERT_TRUE(PlainMod.ok()) << PlainMod.message();
   EXPECT_EQ(PlainMod->Source.find("map-reduce region"), std::string::npos);
+  EXPECT_NE(PlainMod->Source.find("augur_atomic_add_f64(&"),
+            std::string::npos);
 }
 
 TEST(ReduceNative, NativeMatchesInterpreterBitwise) {

@@ -835,6 +835,44 @@ TEST(RobustFaults, WorkerFaultSurfacesAndPoolSurvives) {
   EXPECT_EQ(Clean->size(), 5u);
 }
 
+TEST(RobustFaults, NativeWorkerFaultSurfacesThroughTheHostDispatch) {
+  // A chunk of an emitted module's pooled loop throws on a pool lane.
+  // The exception must not unwind through the module's C frames: the
+  // host parks it, the module's entry returns, and the engine rethrows
+  // it, so the run fails with the worker's message and the process-wide
+  // pool stays usable.
+  TestModel M = hlrModel(200, 0xFA06);
+  Infer Aug(M.Source);
+  CompileOptions CO;
+  CO.Seed = 0xFA06;
+  CO.NativeCpu = true;
+  CO.Par.NumThreads = 2;
+  CO.FaultSpec = "worker-fault:n=1";
+  Aug.setCompileOpt(CO);
+  Status St = Aug.compile(M.HyperArgs, M.Data);
+  Result<SampleSet> S = St.ok() ? Aug.sample(sampleOpts(5, 0))
+                                : Result<SampleSet>(St);
+  ASSERT_FALSE(S.ok());
+  EXPECT_NE(S.message().find("worker"), std::string::npos) << S.message();
+  // The fault fired in an emitted module's loop.
+  auto *NE = dynamic_cast<NativeEngine *>(&Aug.program().engine());
+  ASSERT_NE(NE, nullptr);
+  bool RanNative = false;
+  for (const auto &CU : Aug.program().updates())
+    for (const std::string *P : {&CU.LLProc, &CU.GradProc})
+      RanNative = RanNative || (!P->empty() && NE->isNative(*P));
+  EXPECT_TRUE(RanNative);
+
+  ASSERT_TRUE(robust::FaultInjector::global().configure("").ok());
+  Infer Clean(M.Source);
+  CO.FaultSpec.clear();
+  Clean.setCompileOpt(CO);
+  ASSERT_TRUE(Clean.compile(M.HyperArgs, M.Data).ok());
+  Result<SampleSet> Again = Clean.sample(sampleOpts(5, 0));
+  ASSERT_TRUE(Again.ok()) << Again.message();
+  EXPECT_EQ(Again->size(), 5u);
+}
+
 TEST(RobustFaults, InfDensityQuarantinedOnNativeBackend) {
   TestModel M = gmmModel("", 30, 0xFA04);
   Infer Aug(M.Source);

@@ -33,6 +33,7 @@
 
 #include <cerrno>
 #include <chrono>
+#include <cmath>
 #include <csignal>
 #include <cstdlib>
 #include <cstring>
@@ -45,6 +46,7 @@
 #include <gtest/gtest.h>
 
 #include "api/Infer.h"
+#include "models/PaperModels.h"
 #include "robust/FaultInject.h"
 #include "serve/Client.h"
 #include "serve/Sandbox.h"
@@ -69,6 +71,16 @@ using namespace augur::serve;
 #if !defined(AUGUR_VA_SANITIZER) &&                                         \
     (defined(__SANITIZE_ADDRESS__) || defined(__SANITIZE_THREAD__))
 #define AUGUR_VA_SANITIZER 1
+#endif
+// TSan also refuses to start threads in a child forked from a
+// multi-threaded process, so a pooled sandbox worker dies under it.
+#if defined(__has_feature)
+#if __has_feature(thread_sanitizer)
+#define AUGUR_TSAN 1
+#endif
+#endif
+#if !defined(AUGUR_TSAN) && defined(__SANITIZE_THREAD__)
+#define AUGUR_TSAN 1
 #endif
 
 namespace {
@@ -352,6 +364,50 @@ TEST(ServeSandbox, SandboxedStreamsAreBitIdenticalToDirect) {
     if (KV.first.find("diag/rhat/") != std::string::npos)
       SawDiag = true;
   EXPECT_TRUE(SawDiag);
+}
+
+TEST(ServeSandbox, PooledNativeStreamsBitIdenticalToDirect) {
+  // A Threads=2 native HLR request: the forked worker runs the emitted
+  // module's pooled loops on a pool it builds after the fork, not on the
+  // daemon's pool (whose lanes the child does not have), and streams
+  // exactly what a direct run produces.
+  const int64_t N = 200, Kf = 3;
+  SampleRequest SR;
+  SR.Model = models::HLR;
+  RNG Rng(17);
+  BlockedReal X = BlockedReal::rect(N, Kf, 0.0);
+  BlockedInt Y = BlockedInt::flat(N, 0);
+  for (int64_t I = 0; I < N; ++I) {
+    double Dot = 0.3;
+    for (int64_t J = 0; J < Kf; ++J) {
+      X.at(I, J) = Rng.gauss();
+      Dot += X.at(I, J) * (J % 2 ? -1.0 : 1.5);
+    }
+    Y.at(I) = Rng.uniform() < 1.0 / (1.0 + std::exp(-Dot)) ? 1 : 0;
+  }
+  SR.Args = {Value::realScalar(1.0), Value::intScalar(N),
+             Value::intScalar(Kf),
+             Value::realVec(std::move(X),
+                            Type::vec(Type::vec(Type::realTy())))};
+  SR.Data["y"] = Value::intVec(std::move(Y));
+  SR.NativeCpu = true;
+  SR.Threads = 2;
+  SR.NumSamples = 8;
+
+  LiveServer L(isolatedOptions());
+  Client C = L.connect();
+  int64_t Forks0 = counterOf(C, "serve/sandbox/forks");
+  [[maybe_unused]] int64_t Crashes0 =
+      counterOf(C, "serve/sandbox/crashes");
+  Result<Client::SampleOutcome> R = C.sample(SR, 111);
+  ASSERT_TRUE(R.ok()) << R.message();
+  expectChainsMatchDirect(R->Chains, SR);
+  EXPECT_GT(counterOf(C, "serve/sandbox/forks"), Forks0);
+#ifndef AUGUR_TSAN
+  // Under TSan the worker dies starting its pool and the in-process
+  // hedge serves the same stream.
+  EXPECT_EQ(counterOf(C, "serve/sandbox/crashes"), Crashes0);
+#endif
 }
 
 TEST(ServeSandbox, PipeTransportServesIdenticalStream) {
